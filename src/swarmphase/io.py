@@ -6,6 +6,7 @@ exact, and the PGM writer is byte-deterministic for a fixed input.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,10 @@ def save_trajectory_csv(path, positions: np.ndarray) -> None:
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 3 or pos.shape[2] != 2:
         raise ValueError("positions must have shape (T, N, 2)")
-    lines = []
-    for t, frame in enumerate(pos, start=1):
-        for agent, (x, y) in enumerate(frame, start=1):
-            lines.append(f"{t},{agent},{format_float(x)},{format_float(y)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        for t, frame in enumerate(pos, start=1):
+            for agent, (x, y) in enumerate(frame, start=1):
+                out.write(f"{t},{agent},{format_float(x)},{format_float(y)}\n")
 
 
 def load_trajectory_csv(path) -> TrajectoryDataset:
@@ -36,51 +36,51 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
 
     In the 3-column form agent identity is the row order within each frame
     block; in the 4-column form rows are ordered by the id column. Every
-    frame must contain the same number of agents.
+    frame must contain the same number of agents. Non-finite values,
+    non-integer frame labels and an id repeated within a frame are rejected
+    with the line number.
     """
-    text = Path(path).read_text()
-    frames: dict[int, list[tuple]] = {}
-    frame_order: list[int] = []
+    frames: dict[int, dict[float, tuple[float, float]]] = {}
     n_fields = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if line_no == 1 and set(f.lower() for f in fields) <= TRAJECTORY_HEADER_NAMES:
-            continue
-        if len(fields) not in (3, 4):
-            raise ValueError(f"line {line_no}: expected 3 or 4 fields, found {len(fields)}")
-        if n_fields is None:
-            n_fields = len(fields)
-        elif len(fields) != n_fields:
-            raise ValueError(f"line {line_no}: expected {n_fields} fields, found {len(fields)}")
-        try:
-            numbers = [float(f) for f in fields]
-        except ValueError:
-            bad = next(f for f in fields if not _is_number(f))
-            raise ValueError(f"line {line_no}: non-numeric field {bad!r}") from None
-        t = int(numbers[0])
-        if t not in frames:
-            frames[t] = []
-            frame_order.append(t)
-        if n_fields == 4:
-            frames[t].append((numbers[1], numbers[2], numbers[3]))
-        else:
-            frames[t].append((len(frames[t]), numbers[1], numbers[2]))
+    with open(path) as lines:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if line_no == 1 and set(f.lower() for f in fields) <= TRAJECTORY_HEADER_NAMES:
+                continue
+            if len(fields) not in (3, 4):
+                raise ValueError(f"line {line_no}: expected 3 or 4 fields, found {len(fields)}")
+            if n_fields is None:
+                n_fields = len(fields)
+            elif len(fields) != n_fields:
+                raise ValueError(f"line {line_no}: expected {n_fields} fields, found {len(fields)}")
+            try:
+                numbers = [float(f) for f in fields]
+            except ValueError:
+                bad = next(f for f in fields if not _is_number(f))
+                raise ValueError(f"line {line_no}: non-numeric field {bad!r}") from None
+            if not all(map(math.isfinite, numbers)):
+                bad = next(f for f, v in zip(fields, numbers) if not math.isfinite(v))
+                raise ValueError(f"line {line_no}: non-finite field {bad!r}")
+            if not numbers[0].is_integer():
+                raise ValueError(f"line {line_no}: frame label {fields[0]!r} is not an integer")
+            t = int(numbers[0])
+            rows = frames.setdefault(t, {})
+            key = numbers[1] if n_fields == 4 else len(rows)
+            if key in rows:
+                raise ValueError(f"line {line_no}: duplicate id {fields[1]!r} in frame {t}")
+            rows[key] = (numbers[-2], numbers[-1])
 
     if not frames:
         raise ValueError("trajectory file contains no data rows")
-    counts = {t: len(rows) for t, rows in frames.items()}
-    expected = counts[frame_order[0]]
-    for t in frame_order:
-        if counts[t] != expected:
-            raise ValueError(f"frame {t}: expected {expected} agents, found {counts[t]}")
+    expected = len(next(iter(frames.values())))
+    for t, rows in frames.items():
+        if len(rows) != expected:
+            raise ValueError(f"frame {t}: expected {expected} agents, found {len(rows)}")
 
-    positions = np.empty((len(frame_order), expected, 2))
-    for fi, t in enumerate(sorted(frame_order)):
-        rows = sorted(frames[t], key=lambda r: r[0])
-        positions[fi] = [(x, y) for _, x, y in rows]
+    positions = np.array([[rows[key] for key in sorted(rows)] for _, rows in sorted(frames.items())])
     return TrajectoryDataset(wrapped=positions, unwrapped=None, periodic=False)
 
 

@@ -7,18 +7,19 @@ scaling embeds them, and the residual variance curve over target dimensions
 yields an intrinsic-dimension estimate (first dimension whose residual drops
 below a threshold).
 
-Everything here is self-contained: Dijkstra shortest paths over an explicit
-adjacency structure and MDS via a dense symmetric eigendecomposition.
+Graph connectivity and Dijkstra shortest paths come from
+``scipy.sparse.csgraph``; MDS uses a dense symmetric eigendecomposition.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
 logger = logging.getLogger(__name__)
@@ -30,7 +31,11 @@ class ManifoldWarning(UserWarning):
 
 @dataclass
 class NeighborGraph:
-    """Symmetrized k-nearest-neighbor graph with Euclidean edge weights."""
+    """Symmetrized k-nearest-neighbor graph with Euclidean edge weights.
+
+    ``neighbors[i]`` lists each neighbor of vertex ``i`` once, and
+    ``weights[i]`` the matching edge lengths.
+    """
 
     n_vertices: int
     k: int
@@ -67,20 +72,6 @@ def configuration_matrix(positions: np.ndarray) -> np.ndarray:
     return pos.reshape(pos.shape[0], -1)
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adjacency[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
-
-
 def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     """Symmetrized k-nearest-neighbor graph, grown until connected.
 
@@ -107,7 +98,8 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
         for i, row in enumerate(ranked):
             adjacency[i, row[:k_eff]] = True
         adjacency |= adjacency.T
-        if _connected(adjacency):
+        # sparse input: csgraph would first copy a dense matrix to float64
+        if connected_components(csr_matrix(adjacency), directed=False)[0] == 1:
             break
         k_eff += 1
 
@@ -117,27 +109,15 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
 
 
 def geodesic_distances(graph: NeighborGraph) -> np.ndarray:
-    """All-pairs shortest-path lengths via Dijkstra from every vertex."""
+    """All-pairs shortest-path lengths via Dijkstra from every vertex.
+
+    Zero-weight edges (duplicate configurations) are kept as edges.
+    """
     n = graph.n_vertices
-    adjacency = [
-        list(zip(nbr.tolist(), w.tolist()))
-        for nbr, w in zip(graph.neighbors, graph.weights)
-    ]
-    out = np.empty((n, n))
-    for source in range(n):
-        dist = [np.inf] * n
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if d > dist[i]:
-                continue
-            for j, w in adjacency[i]:
-                nd = d + w
-                if nd < dist[j]:
-                    dist[j] = nd
-                    heapq.heappush(heap, (nd, j))
-        out[source] = dist
+    rows = np.repeat(np.arange(n), [len(nbr) for nbr in graph.neighbors])
+    cols = np.concatenate(graph.neighbors)
+    adjacency = csr_matrix((np.concatenate(graph.weights), (rows, cols)), shape=(n, n))
+    out = shortest_path(adjacency, method="D")
     if np.isinf(out).any():
         raise ValueError("graph is disconnected; geodesic distances undefined")
     # Forward and reverse path sums can differ in the last bit; keep the

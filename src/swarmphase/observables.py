@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
@@ -114,34 +116,6 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
     raise ValueError(f"unknown epsilon mode {mode!r} (use 'all_pairs' or 'nearest_neighbor')")
 
 
-class _DisjointSet:
-    """Union-find with path halving and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-
-    def count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i and p == i)
-
-
 def connected_component_count(positions: np.ndarray, radius: float) -> int:
     """Number of connected components of the distance-``radius`` graph.
 
@@ -152,11 +126,9 @@ def connected_component_count(positions: np.ndarray, radius: float) -> int:
     if radius <= 0:
         raise ValueError("radius must be positive")
     n = pos.shape[0]
-    dsu = _DisjointSet(n)
     pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
-    for i, j in pairs:
-        dsu.union(int(i), int(j))
-    return dsu.count()
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[0]
 
 
 def component_series(positions: np.ndarray, radius: float) -> np.ndarray:

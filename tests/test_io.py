@@ -59,6 +59,30 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="no data rows"):
             io_.load_trajectory_csv(path)
 
+    def test_writer_bytes(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        io_.save_trajectory_csv(path, np.array([[[0.0, 1.5], [2.0, 3.0]], [[0.1, -2.0], [1e-20, 4.0]]]))
+        assert path.read_bytes() == b"1,1,0,1.5\n1,2,2,3\n2,1,0.10000000000000001,-2\n2,2,9.9999999999999995e-21,4\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        path.write_text(f"1,0.0,0.0\n1,{value},0.0\n")
+        with pytest.raises(ValueError, match=f"line 2: non-finite field '{value}'"):
+            io_.load_trajectory_csv(path)
+
+    def test_fractional_frame_label_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,0.0,0.0\n1,1.0,0.0\n1.5,2.0,0.0\n1.5,3.0,0.0\n")
+        with pytest.raises(ValueError, match="line 3: frame label '1.5' is not an integer"):
+            io_.load_trajectory_csv(path)
+
+    def test_duplicate_id_in_frame_names_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,1,0.0,0.0\n1,1,1.0,0.0\n2,1,0.0,0.0\n2,2,1.0,0.0\n")
+        with pytest.raises(ValueError, match="line 2: duplicate id '1' in frame 1"):
+            io_.load_trajectory_csv(path)
+
 
 class TestDistancePgm:
     def test_all_zero_matrix_is_black(self, tmp_path):

@@ -100,6 +100,19 @@ class TestGeodesics:
             want = floyd_warshall(n, edges)
             assert np.array_equal(got, want)  # integer weights: exact
 
+    def test_zero_weight_edges_match_floyd_warshall_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            n = int(rng.integers(3, 50))
+            edges = [(i, j, float(rng.integers(0, 3))) for i, j, _ in random_connected_graph(rng, n)]
+            got = manifold.geodesic_distances(graph_from_edges(n, edges))
+            assert np.array_equal(got, floyd_warshall(n, edges))
+
+    def test_duplicate_configurations_are_zero_apart(self):
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+        geo = manifold.geodesic_distances(manifold.knn_graph(pts, k=1))
+        assert np.array_equal(geo, [[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+
     def test_metric_axioms_exhaustive_hundred_vertices(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(size=(100, 3))

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -149,6 +150,40 @@ class TestComponents:
             ]
         )
         assert list(observables.component_series(frames, 1.0)) == [2, 3]
+
+    def test_matches_dense_bfs_oracle(self):
+        def bfs_count(pos, radius):
+            linked = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= radius
+            seen = np.zeros(len(pos), dtype=bool)
+            count = 0
+            for start in range(len(pos)):
+                if seen[start]:
+                    continue
+                count += 1
+                seen[start] = True
+                queue = deque([start])
+                while queue:
+                    i = queue.popleft()
+                    for j in np.flatnonzero(linked[i] & ~seen):
+                        seen[j] = True
+                        queue.append(j)
+            return count
+
+        rng = np.random.default_rng(11)
+        boundary_pairs = 0
+        for case in range(300):
+            n = 1 if case < 5 else int(rng.integers(2, 40))
+            if case % 2:
+                # lattice points: many pairs sit exactly at an integer radius
+                pos = rng.integers(0, 6, size=(n, 2)).astype(float)
+                radius = float(rng.integers(1, 4))
+            else:
+                pos = rng.uniform(-3, 3, size=(n, 2))
+                radius = float(rng.uniform(0.1, 2.0))
+            dist = np.linalg.norm(pos[:, None] - pos[None, :], axis=2)
+            boundary_pairs += int(np.sum(np.triu(dist == radius, 1)))
+            assert observables.connected_component_count(pos, radius) == bfs_count(pos, radius)
+        assert boundary_pairs > 0
 
 
 class TestCoarseObservable:
