@@ -7,6 +7,7 @@ import sys
 
 from .io import load_config_file
 from .pipeline import (
+    SETTINGS,
     ConfigError,
     PipelineError,
     config_from_sources,
@@ -18,28 +19,14 @@ from .pipeline import (
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file with key = value lines")
-    parser.add_argument("--scenario", choices=["speed-switch", "noise-switch", "split-rejoin"])
-    parser.add_argument("--input", dest="input_path", help="trajectory CSV to analyze")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--xi1", type=float, help="weight of the speed term")
-    parser.add_argument("--xi2", type=float, help="weight of the polarization term")
-    parser.add_argument("--epsilon-mode", dest="epsilon_mode", choices=["all_pairs", "nearest_neighbor"])
-    parser.add_argument("--k", type=int, help="neighbor count for the isomap graph")
-    parser.add_argument("--dmax", dest="d_max", type=int, help="largest embedding dimension tried")
-    parser.add_argument("--threshold", type=float, help="residual-variance cutoff for the dimension estimate")
-    parser.add_argument("--min-len", dest="min_len", type=int, help="minimum segment length in steps")
-    parser.add_argument("--merge-tol", dest="merge_tol", type=float, help="mean-X tolerance for shared labels")
-    parser.add_argument("--out", dest="out_dir", help="output directory (default: $SWARMPHASE_OUT or ./swarmphase-out)")
-    parser.add_argument("--n-agents", dest="n_agents", type=int)
-    parser.add_argument("--n-steps", dest="n_steps", type=int)
-    parser.add_argument("--half-width", dest="half_width", type=float)
-    parser.add_argument("--half-height", dest="half_height", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--canonicalize", dest="canonicalize", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--prefer-unwrapped", dest="prefer_unwrapped", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--periodic-matching", dest="periodic_matching", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--literal-sigmoid", dest="literal_sigmoid", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--dump-correspondence", dest="dump_correspondence", action=argparse.BooleanOptionalAction)
+    for key, (field, value_type) in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        help_text = field.metadata.get("help")
+        if value_type is bool:
+            parser.add_argument(flag, dest=field.name, action=argparse.BooleanOptionalAction, help=help_text)
+        else:
+            choices = field.metadata.get("choices")
+            parser.add_argument(flag, dest=field.name, type=value_type, choices=choices, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

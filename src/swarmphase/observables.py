@@ -18,6 +18,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
+# the estimators interaction_epsilon accepts
+EPSILON_MODES = ("all_pairs", "nearest_neighbor")
+
 
 class DegenerateSeriesWarning(UserWarning):
     """Raised when an observable hits a degenerate all-zero case."""
@@ -113,7 +116,7 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
             dist, _ = cKDTree(frame).query(frame, k=2)
             total += dist[:, 1].sum()
         return total / (pos.shape[0] * pos.shape[1])
-    raise ValueError(f"unknown epsilon mode {mode!r} (use 'all_pairs' or 'nearest_neighbor')")
+    raise ValueError(f"unknown epsilon mode {mode!r} (use {' or '.join(map(repr, EPSILON_MODES))})")
 
 
 def connected_component_count(positions: np.ndarray, radius: float) -> int:

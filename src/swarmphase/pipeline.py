@@ -8,7 +8,8 @@ summary contains no timestamps.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ import numpy as np
 from . import io as io_
 from .manifold import configuration_matrix, isomap
 from .mapping import canonicalize_order, velocities
-from .observables import compute_observables, distance_matrix
+from .observables import EPSILON_MODES, compute_observables, distance_matrix
 from .segment import label_manifolds, per_segment_isomap, segment_series
-from .sim import make_scenario, simulate
+from .sim import SCENARIOS, make_scenario, simulate
 
 OUTPUT_DIR_ENV = "SWARMPHASE_OUT"
 
@@ -31,20 +32,33 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
+def _option(default, help: str | None = None, choices: tuple | None = None):
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class PipelineConfig:
-    scenario: str | None = None
-    input_path: str | None = None
+    """Every setting of a run, declared once: ``SETTINGS`` and the CLI derive from it.
+
+    A config-file key is the field name, except for the three in ``KEY_RENAMES``
+    (``input``, ``dmax``, ``out``); its flag is ``--`` plus the key with ``_``
+    replaced by ``-``. The annotation gives the value type. A bool setting reads
+    ``1/true/yes/on`` or ``0/false/no/off`` and has a ``--no-`` flag. Field
+    ``metadata`` holds the flag's help text and choices.
+    """
+
+    scenario: str | None = _option(None, choices=tuple(SCENARIOS))
+    input_path: str | None = _option(None, "trajectory CSV to analyze")
     seed: int = 0
-    xi1: float = 1.0 / 3.0
-    xi2: float = 1.0 / 3.0
-    epsilon_mode: str = "all_pairs"
-    k: int = 7
-    d_max: int = 10
-    threshold: float = 0.1
-    min_len: int = 10
-    merge_tol: float = 0.1
-    out_dir: str | None = None
+    xi1: float = _option(1.0 / 3.0, "weight of the speed term")
+    xi2: float = _option(1.0 / 3.0, "weight of the polarization term")
+    epsilon_mode: str = _option("all_pairs", choices=EPSILON_MODES)
+    k: int = _option(7, "neighbor count for the isomap graph")
+    d_max: int = _option(10, "largest embedding dimension tried")
+    threshold: float = _option(0.1, "residual-variance cutoff for the dimension estimate")
+    min_len: int = _option(10, "minimum segment length in steps")
+    merge_tol: float = _option(0.1, "mean-X tolerance for shared labels")
+    out_dir: str | None = _option(None, "output directory (default: $SWARMPHASE_OUT or ./swarmphase-out)")
     n_agents: int | None = None
     n_steps: int | None = None
     half_width: float | None = None
@@ -59,14 +73,16 @@ class PipelineConfig:
     def validate(self) -> None:
         if (self.scenario is None) == (self.input_path is None):
             raise ConfigError("exactly one of 'scenario' and 'input' must be set")
+        if self.scenario is not None and self.scenario not in SCENARIOS:
+            raise ConfigError(f"scenario: unknown scenario {self.scenario!r} (known: {', '.join(SCENARIOS)})")
         if self.xi1 < 0:
             raise ConfigError("xi1: must be non-negative")
         if self.xi2 < 0:
             raise ConfigError("xi2: must be non-negative")
         if self.xi1 + self.xi2 > 1.0:
             raise ConfigError("xi1, xi2: weights must sum to at most 1")
-        if self.epsilon_mode not in ("all_pairs", "nearest_neighbor"):
-            raise ConfigError("epsilon_mode: must be 'all_pairs' or 'nearest_neighbor'")
+        if self.epsilon_mode not in EPSILON_MODES:
+            raise ConfigError(f"epsilon_mode: must be {' or '.join(map(repr, EPSILON_MODES))}")
         if self.k < 1:
             raise ConfigError("k: must be at least 1")
         if self.d_max < 1:
@@ -85,11 +101,29 @@ class PipelineConfig:
             value = getattr(self, key)
             if value is not None and value <= 0:
                 raise ConfigError(f"{key}: must be positive")
+        if self.input_path is not None:
+            for key in (*_SCENARIO_OVERRIDES, "literal_sigmoid", "periodic_matching"):
+                if getattr(self, key) not in (None, False):
+                    raise ConfigError(f"{key}: applies only to a simulated scenario, not to an input file")
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir is not None:
             return Path(self.out_dir)
         return Path(os.environ.get(OUTPUT_DIR_ENV, "swarmphase-out"))
+
+
+# field name -> config key, for the fields whose key differs from their name
+KEY_RENAMES = {"input_path": "input", "d_max": "dmax", "out_dir": "out"}
+# settings passed to make_scenario when set; rejected with an input file
+_SCENARIO_OVERRIDES = ("n_agents", "n_steps", "half_width", "half_height", "dt")
+
+_HINTS = typing.get_type_hints(PipelineConfig)
+# config key -> (field, value type), in declaration order; the value type is
+# the annotation's first member, so ``int | None`` gives ``int``
+SETTINGS = {
+    KEY_RENAMES.get(f.name, f.name): (f, (typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0])
+    for f in fields(PipelineConfig)
+}
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -101,53 +135,28 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-# config-file key -> (attribute, parser)
-_CONFIG_KEYS = {
-    "scenario": ("scenario", str),
-    "input": ("input_path", str),
-    "seed": ("seed", int),
-    "xi1": ("xi1", float),
-    "xi2": ("xi2", float),
-    "epsilon_mode": ("epsilon_mode", str),
-    "k": ("k", int),
-    "dmax": ("d_max", int),
-    "threshold": ("threshold", float),
-    "min_len": ("min_len", int),
-    "merge_tol": ("merge_tol", float),
-    "out": ("out_dir", str),
-    "n_agents": ("n_agents", int),
-    "n_steps": ("n_steps", int),
-    "half_width": ("half_width", float),
-    "half_height": ("half_height", float),
-    "dt": ("dt", float),
-    "canonicalize": ("canonicalize", _parse_bool),
-    "prefer_unwrapped": ("prefer_unwrapped", _parse_bool),
-    "periodic_matching": ("periodic_matching", _parse_bool),
-    "literal_sigmoid": ("literal_sigmoid", _parse_bool),
-    "dump_correspondence": ("dump_correspondence", _parse_bool),
-}
-
-
 def config_from_sources(
     file_values: dict[str, str] | None = None, overrides: dict | None = None
 ) -> PipelineConfig:
     """Build a config from file values and explicit overrides.
 
     Precedence: dataclass defaults < config file < overrides (CLI flags).
-    Unknown config keys and unparsable values are rejected by key name.
+    File values are keyed by config key, overrides by field name. Unknown
+    keys and unparsable values are rejected by key name.
     """
     config = PipelineConfig()
     for key, raw in (file_values or {}).items():
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, parser = _CONFIG_KEYS[key]
-        try:
-            value = parser(key, raw) if parser is _parse_bool else parser(raw)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
-        setattr(config, attr, value)
+        f, value_type = SETTINGS[key]
+        if value_type is bool:
+            value = _parse_bool(key, raw)
+        else:
+            try:
+                value = value_type(raw)
+            except ValueError:
+                raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
+        setattr(config, f.name, value)
     known = {f.name for f in fields(PipelineConfig)}
     for attr, value in (overrides or {}).items():
         if attr not in known:
@@ -172,7 +181,7 @@ class PipelineResult:
 
 def _scenario_overrides(config: PipelineConfig) -> dict:
     overrides = {"seed": config.seed}
-    for key in ("n_agents", "n_steps", "half_width", "half_height", "dt"):
+    for key in _SCENARIO_OVERRIDES:
         value = getattr(config, key)
         if value is not None:
             overrides[key] = value
@@ -224,15 +233,41 @@ def _summary_lines(config, dataset, series, segmentation, segment_reports, full_
     return lines
 
 
+class _Run:
+    """What every command shares: validate the config, build the dataset,
+    write each artifact through the ``io`` stage and record it. The output
+    directory is made at the first write, so a run that fails before it
+    leaves nothing behind."""
+
+    def __init__(self, config: PipelineConfig):
+        config.validate()
+        self.config = config
+        self.out_dir = config.resolved_out_dir()
+        self.artifacts: dict[str, Path] = {}
+
+    def load(self):
+        dataset = _stage("sim" if self.config.scenario else "load", build_dataset, self.config)
+        if dataset.n_frames < 2:
+            raise PipelineError("load: need at least 2 frames")
+        return dataset
+
+    def write(self, name: str, filename: str, writer, *args) -> None:
+        if not self.artifacts:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / filename
+        _stage("io", writer, path, *args)
+        self.artifacts[name] = path
+
+    def write_trajectories(self, dataset) -> None:
+        self.write("trajectory", "trajectory.csv", io_.save_trajectory_csv, dataset.wrapped)
+        if dataset.unwrapped is not None:
+            self.write("trajectory_unwrapped", "trajectory_unwrapped.csv", io_.save_trajectory_csv, dataset.unwrapped)
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage and write the artifact set to the output directory."""
-    config.validate()
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    dataset = _stage("sim" if config.scenario else "load", build_dataset, config)
-    if dataset.n_frames < 2:
-        raise PipelineError("load: need at least 2 frames")
+    run = _Run(config)
+    dataset = run.load()
 
     maps = _stage(
         "mapping",
@@ -270,44 +305,23 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         threshold=config.threshold,
     )
 
-    artifacts: dict[str, Path] = {}
-
-    def _write(name: str, filename: str, writer, *args) -> None:
-        path = out_dir / filename
-        _stage("io", writer, path, *args)
-        artifacts[name] = path
-
-    _write("trajectory", "trajectory.csv", io_.save_trajectory_csv, dataset.wrapped)
-    if dataset.unwrapped is not None:
-        _write(
-            "trajectory_unwrapped",
-            "trajectory_unwrapped.csv",
-            io_.save_trajectory_csv,
-            dataset.unwrapped,
-        )
-    _write("observables", "observables.csv", io_.save_observables_csv, series)
-    _write("distance_image", "distance.pgm", io_.save_distance_pgm, delta)
+    run.write_trajectories(dataset)
+    run.write("observables", "observables.csv", io_.save_observables_csv, series)
+    run.write("distance_image", "distance.pgm", io_.save_distance_pgm, delta)
     dims = [None if r is None else r.dimension for r in segment_reports]
-    _write("segments", "segments.csv", io_.save_segments_csv, segmentation, dims)
-    _write("residual_full", "residual_full.csv", io_.save_residual_csv, full_report.residual_variances)
+    run.write("segments", "segments.csv", io_.save_segments_csv, segmentation, dims)
+    run.write("residual_full", "residual_full.csv", io_.save_residual_csv, full_report.residual_variances)
     for idx, report in enumerate(segment_reports, start=1):
-        if report is None:
-            continue
-        _write(
-            f"residual_segment_{idx:02d}",
-            f"residual_segment_{idx:02d}.csv",
-            io_.save_residual_csv,
-            report.residual_variances,
-        )
+        if report is not None:
+            name = f"residual_segment_{idx:02d}"
+            run.write(name, f"{name}.csv", io_.save_residual_csv, report.residual_variances)
     if config.dump_correspondence:
-        _write("correspondence", "correspondence.csv", io_.save_correspondence_csv, maps)
+        run.write("correspondence", "correspondence.csv", io_.save_correspondence_csv, maps)
 
     summary = "\n".join(
         _summary_lines(config, dataset, series, segmentation, segment_reports, full_report)
     ) + "\n"
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text(summary)
-    artifacts["summary"] = summary_path
+    run.write("summary", "summary.txt", Path.write_text, summary)
 
     return PipelineResult(
         dataset=dataset,
@@ -317,54 +331,35 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         segmentation=segmentation,
         segment_reports=segment_reports,
         full_report=full_report,
-        artifacts=artifacts,
+        artifacts=run.artifacts,
         summary=summary,
     )
 
 
 def run_simulate(config: PipelineConfig) -> dict[str, Path]:
     """Simulate a scenario and write only the trajectory artifacts."""
-    config.validate()
+    run = _Run(config)
     if config.scenario is None:
         raise ConfigError("scenario: the simulate command needs a scenario name")
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _stage("sim", build_dataset, config)
-    artifacts = {}
-    path = out_dir / "trajectory.csv"
-    _stage("io", io_.save_trajectory_csv, path, dataset.wrapped)
-    artifacts["trajectory"] = path
-    path = out_dir / "trajectory_unwrapped.csv"
-    _stage("io", io_.save_trajectory_csv, path, dataset.unwrapped)
-    artifacts["trajectory_unwrapped"] = path
-    return artifacts
+    run.write_trajectories(run.load())
+    return run.artifacts
 
 
 def run_isomap(config: PipelineConfig) -> dict[str, Path]:
     """Isomap on a whole trajectory file; writes residual and embedding CSVs."""
-    config.validate()
+    run = _Run(config)
     if config.input_path is None:
         raise ConfigError("input: the isomap command needs a trajectory file")
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _stage("load", io_.load_trajectory_csv, config.input_path)
-    if dataset.n_frames < 2:
-        raise PipelineError("load: need at least 2 frames")
+    dataset = run.load()
     track = dataset.analysis_track(config.prefer_unwrapped)
     if config.canonicalize:
         maps = _stage("mapping", velocities, dataset, prefer_unwrapped=config.prefer_unwrapped)
         track = _stage("mapping", canonicalize_order, track, maps)
     points = configuration_matrix(track)
     report = _stage("manifold", isomap, points, config.k, config.d_max, config.threshold)
-    artifacts = {}
-    path = out_dir / "residual_full.csv"
-    _stage("io", io_.save_residual_csv, path, report.residual_variances)
-    artifacts["residual_full"] = path
-    path = out_dir / "embedding_full.csv"
-    _stage("io", io_.save_embedding_csv, path, report.embeddings[report.dimension - 1])
-    artifacts["embedding_full"] = path
+    run.write("residual_full", "residual_full.csv", io_.save_residual_csv, report.residual_variances)
+    embedding = report.embeddings[report.dimension - 1]
+    run.write("embedding_full", "embedding_full.csv", io_.save_embedding_csv, embedding)
     summary = f"dstar: {report.dimension}\nk: {report.k}\n"
-    path = out_dir / "isomap_summary.txt"
-    path.write_text(summary)
-    artifacts["summary"] = path
-    return artifacts
+    run.write("summary", "isomap_summary.txt", Path.write_text, summary)
+    return run.artifacts

@@ -197,3 +197,105 @@ class TestCliCommands:
         cfg.write_text("nonsense = 1\n")
         assert cli.main(["run", "--config", str(cfg)]) == 1
         assert "nonsense" in capsys.readouterr().err
+
+
+# Today's 22 config keys, in declaration order; a renamed key fails here.
+CONFIG_KEYS = [
+    "scenario", "input", "seed", "xi1", "xi2", "epsilon_mode", "k", "dmax",
+    "threshold", "min_len", "merge_tol", "out", "n_agents", "n_steps",
+    "half_width", "half_height", "dt", "canonicalize", "prefer_unwrapped",
+    "periodic_matching", "literal_sigmoid", "dump_correspondence",
+]
+
+# (config key, field, config-file value, CLI args, expected field value);
+# each value differs from the field's default, and each bool key has both forms
+ROUTES = [
+    ("scenario", "scenario", "noise-switch", ["--scenario", "noise-switch"], "noise-switch"),
+    ("input", "input_path", "in.csv", ["--input", "in.csv"], "in.csv"),
+    ("seed", "seed", "11", ["--seed", "11"], 11),
+    ("xi1", "xi1", "0.25", ["--xi1", "0.25"], 0.25),
+    ("xi2", "xi2", "0.5", ["--xi2", "0.5"], 0.5),
+    ("epsilon_mode", "epsilon_mode", "nearest_neighbor", ["--epsilon-mode", "nearest_neighbor"], "nearest_neighbor"),
+    ("k", "k", "5", ["--k", "5"], 5),
+    ("dmax", "d_max", "4", ["--dmax", "4"], 4),
+    ("threshold", "threshold", "0.2", ["--threshold", "0.2"], 0.2),
+    ("min_len", "min_len", "8", ["--min-len", "8"], 8),
+    ("merge_tol", "merge_tol", "0.3", ["--merge-tol", "0.3"], 0.3),
+    ("out", "out_dir", "elsewhere", ["--out", "elsewhere"], "elsewhere"),
+    ("n_agents", "n_agents", "12", ["--n-agents", "12"], 12),
+    ("n_steps", "n_steps", "120", ["--n-steps", "120"], 120),
+    ("half_width", "half_width", "2.5", ["--half-width", "2.5"], 2.5),
+    ("half_height", "half_height", "3.5", ["--half-height", "3.5"], 3.5),
+    ("dt", "dt", "0.5", ["--dt", "0.5"], 0.5),
+    ("canonicalize", "canonicalize", "off", ["--no-canonicalize"], False),
+    ("canonicalize", "canonicalize", "on", ["--canonicalize"], True),
+    ("prefer_unwrapped", "prefer_unwrapped", "no", ["--no-prefer-unwrapped"], False),
+    ("prefer_unwrapped", "prefer_unwrapped", "yes", ["--prefer-unwrapped"], True),
+    ("periodic_matching", "periodic_matching", "true", ["--periodic-matching"], True),
+    ("periodic_matching", "periodic_matching", "false", ["--no-periodic-matching"], False),
+    ("literal_sigmoid", "literal_sigmoid", "1", ["--literal-sigmoid"], True),
+    ("literal_sigmoid", "literal_sigmoid", "0", ["--no-literal-sigmoid"], False),
+    ("dump_correspondence", "dump_correspondence", "on", ["--dump-correspondence"], True),
+    ("dump_correspondence", "dump_correspondence", "off", ["--no-dump-correspondence"], False),
+]
+
+
+class TestConfigSchema:
+    def test_key_set_is_unchanged(self):
+        assert list(pipeline.SETTINGS) == CONFIG_KEYS
+        assert sorted({route[0] for route in ROUTES}) == sorted(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key,attr,raw,args,expected", ROUTES)
+    def test_file_key_and_cli_flag_agree(self, key, attr, raw, args, expected):
+        from_file = pipeline.config_from_sources({key: raw})
+        from_cli = cli._config_from_args(cli.build_parser().parse_args(["run", *args]))
+        assert getattr(from_file, attr) == expected
+        assert getattr(from_cli, attr) == expected
+        assert from_file == from_cli
+
+    def test_unknown_scenario_names_the_key(self):
+        config = pipeline.config_from_sources({"scenario": "bogus"})
+        with pytest.raises(pipeline.ConfigError, match="^scenario: .*'bogus'"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n_agents", 7),
+            ("n_steps", 120),
+            ("half_width", 3.0),
+            ("half_height", 3.0),
+            ("dt", 0.5),
+            ("literal_sigmoid", True),
+            ("periodic_matching", True),
+        ],
+    )
+    def test_input_rejects_simulator_settings(self, key, value):
+        config = pipeline.PipelineConfig(input_path="x.csv", **{key: value})
+        with pytest.raises(pipeline.ConfigError, match=f"^{key}: "):
+            config.validate()
+        config = pipeline.PipelineConfig(scenario="speed-switch", **{key: value})
+        config.validate()
+
+
+class TestFailedRunLeavesNoOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["isomap", "--input", "{two}"],
+            ["run", "--input", "{one}"],
+            ["run", "--scenario", "split-rejoin", "--n-agents", "7"],
+            ["run", "--scenario", "speed-switch", "--n-steps", "50"],
+            ["simulate", "--scenario", "split-rejoin", "--n-agents", "7"],
+        ],
+        ids=["isomap-2-frames", "run-1-frame", "split-rejoin-odd", "speed-switch-short", "simulate-odd"],
+    )
+    def test_no_empty_output_directory(self, tmp_path, capsys, args):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        one.write_text("1,0.0,0.0\n1,1.0,1.0\n")
+        two.write_text("1,0.0,0.0\n1,1.0,1.0\n2,0.1,0.0\n2,1.1,1.0\n")
+        out_dir = tmp_path / "out"
+        argv = [a.format(one=one, two=two) for a in args] + ["--out", str(out_dir)]
+        assert cli.main(argv) == 1
+        assert "swarmphase: error:" in capsys.readouterr().err
+        assert not out_dir.exists()
