@@ -113,10 +113,13 @@ def extract_bijective_domain(candidates: np.ndarray, distances: np.ndarray) -> n
     """
     candidates = np.asarray(candidates, dtype=int)
     distances = np.asarray(distances, dtype=float)
-    mask = np.zeros(candidates.shape[0], dtype=bool)
-    for j in np.unique(candidates):
-        claimants = np.flatnonzero(candidates == j)
-        mask[claimants[np.argmin(distances[claimants])]] = True
+    n = candidates.shape[0]
+    order = np.lexsort((np.arange(n), distances, candidates))
+    ranked = candidates[order]
+    first_of_group = np.ones(n, dtype=bool)
+    first_of_group[1:] = ranked[1:] != ranked[:-1]
+    mask = np.zeros(n, dtype=bool)
+    mask[order[first_of_group]] = True
     return mask
 
 

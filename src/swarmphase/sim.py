@@ -27,17 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
 # Alignment vectors shorter than this are treated as zero (direction undefined).
 ZERO_ALIGNMENT_TOL = 1e-12
-
-
-def rotation_matrix(angle: float) -> np.ndarray:
-    """2x2 counterclockwise rotation matrix."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def rotation_matrices(angles: np.ndarray) -> np.ndarray:
@@ -174,6 +170,40 @@ class TrajectoryDataset:
         return self.wrapped
 
 
+def _adjacency(
+    positions: np.ndarray,
+    radius: float,
+    half_width: float | None,
+    half_height: float | None,
+    periodic: bool,
+) -> csr_matrix:
+    """Neighbor relation as a CSR matrix of ones with sorted indices, self-loops included.
+
+    A k-d tree (periodic when ``periodic``) proposes every pair within a
+    slightly enlarged radius, since it measures on shifted coordinates that
+    round differently; the same minimum-image ``<= radius**2`` test as a
+    dense pairwise check then decides membership, so the relation is exactly
+    the dense one.
+    """
+    n = positions.shape[0]
+    if periodic:
+        box = np.array([2.0 * half_width, 2.0 * half_height])
+        # np.mod can round a tiny negative up to the box edge itself; fold it back
+        shifted = np.mod(positions, box)
+        tree = cKDTree(np.where(shifted >= box, 0.0, shifted), boxsize=box)
+    else:
+        tree = cKDTree(positions)
+    pairs = tree.query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    deltas = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+    if periodic:
+        deltas = minimum_image(deltas, half_width, half_height)
+    i, j = pairs[np.einsum("ij,ij->i", deltas, deltas) <= radius * radius].T
+    # sorted row-major keys ``row * n + col`` are the CSR rows with sorted indices
+    keys = np.sort(np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1))))
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+
+
 def neighbors_within(
     positions: np.ndarray,
     radius: float,
@@ -189,13 +219,11 @@ def neighbors_within(
     positions = np.asarray(positions, dtype=float)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    deltas = positions[:, None, :] - positions[None, :, :]
-    if periodic:
-        if half_width is None or half_height is None:
-            raise ValueError("periodic neighbor search needs half_width and half_height")
-        deltas = minimum_image(deltas, half_width, half_height)
-    within = np.einsum("ijk,ijk->ij", deltas, deltas) <= radius * radius
-    return [np.flatnonzero(row) for row in within]
+    if periodic and (half_width is None or half_height is None):
+        raise ValueError("periodic neighbor search needs half_width and half_height")
+    adjacency = _adjacency(positions, radius, half_width, half_height, periodic)
+    indices, indptr = adjacency.indices.astype(np.intp), adjacency.indptr
+    return [indices[start:stop] for start, stop in zip(indptr[:-1], indptr[1:])]
 
 
 def step(
@@ -213,7 +241,7 @@ def step(
     agent's averaged alignment vector vanishes, its previous heading is kept.
     """
     n = params.n_agents
-    nbrs = neighbors_within(
+    adjacency = _adjacency(
         wrapped, params.interaction_radius, params.half_width, params.half_height, periodic=True
     )
     units = np.column_stack((np.cos(headings), np.sin(headings)))
@@ -222,9 +250,9 @@ def step(
     else:
         deflected = np.einsum("nij,nj->ni", params.rotations[step_index], units)
 
-    alignment = np.empty_like(deflected)
-    for i, idx in enumerate(nbrs):
-        alignment[i] = deflected[idx].mean(axis=0)
+    # the CSR product sums each neighborhood in ascending index order from
+    # zero, then divides: the same bits as deflected[neighbors].mean(axis=0)
+    alignment = (adjacency @ deflected) / np.diff(adjacency.indptr)[:, None]
 
     jitter = rng.uniform(-params.speed_jitter, params.speed_jitter, n)
     noise = rng.uniform(params.noise_low[step_index], params.noise_high[step_index], n)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmphase import mapping, observables, sim
 
@@ -233,3 +235,85 @@ class TestCanonicalize:
     def test_requires_matching_lengths(self):
         with pytest.raises(ValueError):
             mapping.canonicalize_order(np.zeros((3, 2, 2)), [])
+
+
+def looped_bijective_domain(candidates, distances):
+    """Per-target oracle: each target keeps its closest claimant, ties toward the lowest source."""
+    mask = np.zeros(len(candidates), dtype=bool)
+    for j in np.unique(candidates):
+        claimants = np.flatnonzero(candidates == j)
+        mask[claimants[np.argmin(distances[claimants])]] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        max_size=40,
+    )
+)
+def test_bijective_domain_matches_per_target_loop(claims):
+    # few targets and few distinct distances: most groups collide and tie
+    candidates = np.array([c for c, _ in claims], dtype=int)
+    distances = np.array([d for _, d in claims], dtype=float)
+    got = mapping.extract_bijective_domain(candidates, distances)
+    assert np.array_equal(got, looped_bijective_domain(candidates, distances))
+
+
+coordinates = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+points = st.tuples(coordinates, coordinates)
+
+
+@st.composite
+def coincident_frames(draw):
+    """Two frames whose agents sit on a handful of shared positions."""
+    sites = draw(st.lists(points, min_size=1, max_size=3))
+    n = draw(st.integers(2, 12))
+    pick = st.lists(st.sampled_from(sites), min_size=n, max_size=n)
+    return np.array(draw(pick)), np.array(draw(pick))
+
+
+@st.composite
+def one_point_sources(draw):
+    """Every source agent at one point; the targets anywhere, possibly coincident."""
+    n = draw(st.integers(2, 12))
+    source = np.tile(draw(points), (n, 1))
+    target = np.array(draw(st.lists(points, min_size=n, max_size=n)))
+    return source, target
+
+
+single_agent = st.tuples(points, points).map(lambda pair: (np.array([pair[0]]), np.array([pair[1]])))
+
+BOXES = pytest.mark.parametrize("box_size", [None, (4.0, 3.0)], ids=["open", "periodic"])
+
+
+def assert_bijection_with_exact_velocities(source, target, box_size):
+    m = mapping.correspond(source, target, box_size=box_size)
+    n = source.shape[0]
+    assert np.array_equal(np.sort(m.permutation), np.arange(n))
+    deltas = target[m.permutation] - source
+    if box_size is not None:
+        deltas = sim.minimum_image(deltas, box_size[0] / 2.0, box_size[1] / 2.0)
+    assert np.array_equal(m.velocities, deltas)
+
+
+@BOXES
+@settings(max_examples=100, deadline=None)
+@given(coincident_frames())
+def test_correspond_fuzz_coincident_points(box_size, frames):
+    assert_bijection_with_exact_velocities(*frames, box_size)
+
+
+@BOXES
+@settings(max_examples=100, deadline=None)
+@given(one_point_sources())
+def test_correspond_fuzz_every_source_at_one_point(box_size, frames):
+    assert_bijection_with_exact_velocities(*frames, box_size)
+
+
+@BOXES
+@settings(max_examples=50, deadline=None)
+@given(single_agent)
+def test_correspond_fuzz_single_agent(box_size, frames):
+    assert_bijection_with_exact_velocities(*frames, box_size)

@@ -280,3 +280,87 @@ def test_minimum_image_is_shortest_representative(dx, dy, L, H):
     assert abs(mi[1]) <= H * (1 + 1e-12)
     shifts = (np.array([dx, dy]) - mi) / np.array([2 * L, 2 * H])
     assert np.allclose(shifts, np.round(shifts), atol=1e-6)
+
+
+def dense_step(wrapped, unwrapped, headings, params, step_index, rng):
+    """The dense minimum-image update step: an N x N x 2 delta tensor and a per-agent mean."""
+    n = params.n_agents
+    deltas = sim.minimum_image(wrapped[:, None, :] - wrapped[None, :, :], params.half_width, params.half_height)
+    within = np.einsum("ijk,ijk->ij", deltas, deltas) <= params.interaction_radius * params.interaction_radius
+    units = np.column_stack((np.cos(headings), np.sin(headings)))
+    if params.rotations is None:
+        deflected = units
+    else:
+        deflected = np.einsum("nij,nj->ni", params.rotations[step_index], units)
+    alignment = np.empty_like(deflected)
+    for i, row in enumerate(within):
+        alignment[i] = deflected[np.flatnonzero(row)].mean(axis=0)
+    jitter = rng.uniform(-params.speed_jitter, params.speed_jitter, n)
+    noise = rng.uniform(params.noise_low[step_index], params.noise_high[step_index], n)
+    speeds = params.speed_base[step_index] + jitter
+    displacement = (speeds * params.dt)[:, None] * deflected
+    new_wrapped = sim.wrap_positions(wrapped + displacement, params.half_width, params.half_height)
+    norms = np.linalg.norm(alignment, axis=1)
+    new_headings = np.where(
+        norms > sim.ZERO_ALIGNMENT_TOL,
+        np.arctan2(alignment[:, 1], alignment[:, 0]) + noise,
+        headings,
+    )
+    return new_wrapped, unwrapped + displacement, new_headings
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize(
+        "box",
+        [{}, {"half_width": 2.5, "half_height": 2.0, "dt": 1.0}],
+        ids=["scenario-box", "tight-box"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("scenario", sorted(sim.SCENARIOS))
+    def test_simulate_matches_dense_step_bit_for_bit(self, monkeypatch, scenario, seed, box):
+        # the starting disk overfills the tight box, so many neighbor pairs
+        # sit across the periodic seams throughout the run
+        params = sim.make_scenario(scenario, n_agents=24, n_steps=120, seed=seed, **box)
+        got = sim.simulate(params)
+        monkeypatch.setattr(sim, "step", dense_step)
+        want = sim.simulate(params)
+        assert np.array_equal(got.wrapped, want.wrapped)
+        assert np.array_equal(got.unwrapped, want.unwrapped)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    def test_lattice_pairs_at_exactly_the_radius(self, radius):
+        # integer lattice filling a 6 x 4 box: many pairs sit at exactly the
+        # radius, inside the box and across both periodic seams
+        L, H = 3.0, 2.0
+        xs, ys = np.meshgrid(np.arange(-3.0, 3.0), np.arange(-2.0, 2.0))
+        pos = np.column_stack((xs.ravel(), ys.ravel()))
+        got = sim.neighbors_within(pos, radius, L, H)
+        assert [list(a) for a in got] == brute_neighbors(pos, radius, L, H)
+
+    def test_lattice_outside_the_box_and_at_the_fold(self):
+        # positions given outside [-L, L) x [-H, H), and a coordinate a hair
+        # below a box multiple, which np.mod rounds up to the box edge
+        L, H = 3.0, 2.0
+        pos = np.array([[-1e-17, 0.0], [6.0, 1.0], [-3.0, -2.0], [9.0, 2.0], [2.0, -4.0], [1.0, 0.0]])
+        got = sim.neighbors_within(pos, 1.0, L, H)
+        assert [list(a) for a in got] == brute_neighbors(pos, 1.0, L, H)
+
+    def test_pair_a_hair_beyond_the_radius_is_excluded(self):
+        # four ulps past the radius, inside the box and across the seam; every
+        # difference and wrap below is exact in binary floating point
+        L, H = 3.0, 2.0
+        beyond = 1.0 + 4 * np.finfo(float).eps
+        pos = np.array([[0.0, 0.0], [beyond, 0.0], [-L, 1.0], [L - beyond, 1.0]])
+        got = sim.neighbors_within(pos, 1.0, L, H)
+        assert [list(a) for a in got] == [[0], [1], [2], [3]]
+        assert brute_neighbors(pos, 1.0, L, H) == [[0], [1], [2], [3]]
+
+    def test_no_agents_gives_no_neighbor_sets(self):
+        assert sim.neighbors_within(np.zeros((0, 2)), 1.0, 3.0, 2.0) == []
+
+    def test_non_periodic_matches_brute_force(self):
+        rng = np.random.default_rng(12)
+        pos = np.round(rng.uniform(-4, 4, size=(40, 2)))
+        got = sim.neighbors_within(pos, 1.0, periodic=False)
+        # a box far larger than the points makes the minimum image the plain difference
+        assert [list(a) for a in got] == brute_neighbors(pos, 1.0, 1e6, 1e6)
