@@ -49,7 +49,7 @@ class PipelineConfig:
 
     scenario: str | None = _option(None, choices=tuple(SCENARIOS))
     input_path: str | None = _option(None, "trajectory CSV to analyze")
-    seed: int = 0
+    seed: int | None = None  # None: 0 for a scenario; rejected with an input file
     xi1: float = _option(1.0 / 3.0, "weight of the speed term")
     xi2: float = _option(1.0 / 3.0, "weight of the polarization term")
     epsilon_mode: str = _option("all_pairs", choices=EPSILON_MODES)
@@ -102,9 +102,16 @@ class PipelineConfig:
             if value is not None and value <= 0:
                 raise ConfigError(f"{key}: must be positive")
         if self.input_path is not None:
-            for key in (*_SCENARIO_OVERRIDES, "literal_sigmoid", "periodic_matching"):
-                if getattr(self, key) not in (None, False):
+            for key in ("seed", *_SCENARIO_OVERRIDES, "literal_sigmoid", "periodic_matching"):
+                value = getattr(self, key)
+                # not ``value in (None, False)``: seed 0 == False would pass
+                if value is not None and value is not False:
                     raise ConfigError(f"{key}: applies only to a simulated scenario, not to an input file")
+        if self.literal_sigmoid and self.scenario != "split-rejoin":
+            raise ConfigError(f"literal_sigmoid: applies only to split-rejoin, not to {self.scenario!r}")
+
+    def resolved_seed(self) -> int:
+        return 0 if self.seed is None else self.seed
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir is not None:
@@ -180,12 +187,12 @@ class PipelineResult:
 
 
 def _scenario_overrides(config: PipelineConfig) -> dict:
-    overrides = {"seed": config.seed}
+    overrides = {"seed": config.resolved_seed()}
     for key in _SCENARIO_OVERRIDES:
         value = getattr(config, key)
         if value is not None:
             overrides[key] = value
-    if config.scenario == "split-rejoin" and config.literal_sigmoid:
+    if config.literal_sigmoid:
         overrides["literal_sigmoid"] = True
     return overrides
 
@@ -210,7 +217,7 @@ def _summary_lines(config, dataset, series, segmentation, segment_reports, full_
     lines = []
     if config.scenario is not None:
         lines.append(f"scenario: {config.scenario}")
-        lines.append(f"seed: {config.seed}")
+        lines.append(f"seed: {config.resolved_seed()}")
     else:
         lines.append(f"input: {config.input_path}")
     lines.append(f"frames: {dataset.n_frames}")

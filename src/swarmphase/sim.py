@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
@@ -176,10 +175,11 @@ def _adjacency(
     half_width: float | None,
     half_height: float | None,
     periodic: bool,
-) -> csr_matrix:
-    """Neighbor relation as a CSR matrix of ones with sorted indices, self-loops included.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor relation as ``(rows, cols)`` pair arrays, self-loops included.
 
-    A k-d tree (periodic when ``periodic``) proposes every pair within a
+    The pairs are sorted row-major: by row, then by column within a row. A
+    k-d tree (periodic when ``periodic``) proposes every pair within a
     slightly enlarged radius, since it measures on shifted coordinates that
     round differently; the same minimum-image ``<= radius**2`` test as a
     dense pairwise check then decides membership, so the relation is exactly
@@ -198,10 +198,9 @@ def _adjacency(
     if periodic:
         deltas = minimum_image(deltas, half_width, half_height)
     i, j = pairs[np.einsum("ij,ij->i", deltas, deltas) <= radius * radius].T
-    # sorted row-major keys ``row * n + col`` are the CSR rows with sorted indices
+    # sorting the keys ``row * n + col`` sorts the pairs row-major
     keys = np.sort(np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1))))
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+    return np.divmod(keys, n)
 
 
 def neighbors_within(
@@ -221,9 +220,9 @@ def neighbors_within(
         raise ValueError("radius must be positive")
     if periodic and (half_width is None or half_height is None):
         raise ValueError("periodic neighbor search needs half_width and half_height")
-    adjacency = _adjacency(positions, radius, half_width, half_height, periodic)
-    indices, indptr = adjacency.indices.astype(np.intp), adjacency.indptr
-    return [indices[start:stop] for start, stop in zip(indptr[:-1], indptr[1:])]
+    rows, cols = _adjacency(positions, radius, half_width, half_height, periodic)
+    bounds = np.searchsorted(rows, np.arange(positions.shape[0] + 1))
+    return [cols[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def step(
@@ -241,7 +240,7 @@ def step(
     agent's averaged alignment vector vanishes, its previous heading is kept.
     """
     n = params.n_agents
-    adjacency = _adjacency(
+    rows, cols = _adjacency(
         wrapped, params.interaction_radius, params.half_width, params.half_height, periodic=True
     )
     units = np.column_stack((np.cos(headings), np.sin(headings)))
@@ -250,9 +249,10 @@ def step(
     else:
         deflected = np.einsum("nij,nj->ni", params.rotations[step_index], units)
 
-    # the CSR product sums each neighborhood in ascending index order from
-    # zero, then divides: the same bits as deflected[neighbors].mean(axis=0)
-    alignment = (adjacency @ deflected) / np.diff(adjacency.indptr)[:, None]
+    # bincount sums each neighborhood in ascending index order from zero,
+    # then the sums are divided: the same bits as deflected[neighbors].mean(axis=0)
+    sums = [np.bincount(rows, weights=deflected[cols, a], minlength=n) for a in (0, 1)]
+    alignment = np.column_stack(sums) / np.bincount(rows, minlength=n)[:, None]
 
     jitter = rng.uniform(-params.speed_jitter, params.speed_jitter, n)
     noise = rng.uniform(params.noise_low[step_index], params.noise_high[step_index], n)

@@ -274,7 +274,7 @@ class TestConfigSchema:
         config = pipeline.PipelineConfig(input_path="x.csv", **{key: value})
         with pytest.raises(pipeline.ConfigError, match=f"^{key}: "):
             config.validate()
-        config = pipeline.PipelineConfig(scenario="speed-switch", **{key: value})
+        config = pipeline.PipelineConfig(scenario="split-rejoin", **{key: value})
         config.validate()
 
 
@@ -299,3 +299,38 @@ class TestFailedRunLeavesNoOutput:
         assert cli.main(argv) == 1
         assert "swarmphase: error:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestSettingsThatDoNothingAreRejected:
+    @pytest.mark.parametrize("scenario", ["speed-switch", "noise-switch"])
+    def test_literal_sigmoid_needs_split_rejoin(self, tmp_path, capsys, scenario):
+        out_dir = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--n-agents", "10", "--n-steps", "105", "--literal-sigmoid"]
+        assert cli.main([*argv, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("swarmphase: error: literal_sigmoid: ")
+        assert not out_dir.exists()
+        config = pipeline.config_from_sources({"scenario": scenario, "literal_sigmoid": "on"})
+        with pytest.raises(pipeline.ConfigError, match=f"^literal_sigmoid: .*'{scenario}'"):
+            config.validate()
+
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_input_rejects_an_explicit_seed(self, tmp_path, capsys, seed):
+        ds = sim.simulate(sim.scenario_speed_switch(n_agents=6, n_steps=105, seed=1))
+        traj = tmp_path / "input.csv"
+        io_.save_trajectory_csv(traj, ds.unwrapped)
+        out_dir = tmp_path / "out"
+        assert cli.main(["analyze", "--input", str(traj), "--seed", seed, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("swarmphase: error: seed: ")
+        assert not out_dir.exists()
+        config = pipeline.config_from_sources({"input": str(traj), "seed": seed})
+        with pytest.raises(pipeline.ConfigError, match="^seed: "):
+            config.validate()
+
+    def test_scenario_seed_defaults_to_zero(self, tmp_path, capsys):
+        args = ["run", "--scenario", "speed-switch", "--n-agents", "8", "--n-steps", "105"]
+        assert cli.main([*args, "--out", str(tmp_path / "default")]) == 0
+        assert cli.main([*args, "--seed", "0", "--out", str(tmp_path / "zero")]) == 0
+        for name in ("summary.txt", "trajectory.csv", "observables.csv"):
+            default = (tmp_path / "default" / name).read_bytes()
+            assert default == (tmp_path / "zero" / name).read_bytes()
+        assert b"seed: 0\n" in (tmp_path / "default" / "summary.txt").read_bytes()

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmphase import io as io_
 from swarmphase import observables, sim
@@ -184,3 +188,68 @@ class TestConfigParsing:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 2"):
             io_.parse_config_text("a = 1\nnot a pair\n")
+
+
+@st.composite
+def trajectories(draw):
+    """Finite ``(T, N, 2)`` arrays, any magnitude, signed zeros and subnormals included."""
+    n_frames, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(values, min_size=n_frames * n * 2, max_size=n_frames * n * 2))).reshape(n_frames, n, 2)
+
+
+def saved_rows(tmp_path_factory, positions):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    io_.save_trajectory_csv(path, positions)
+    return path, path.read_text().splitlines()
+
+
+def drop_id(row):
+    t, _, x, y = row.split(",")
+    return f"{t},{x},{y}"
+
+
+class TestTrajectoryCsvFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(trajectories(), st.randoms(use_true_random=False))
+    def test_round_trip_is_exact_in_both_forms(self, tmp_path_factory, positions, random):
+        path, rows = saved_rows(tmp_path_factory, positions)
+        # the 4-column form orders by frame label and id, so any row order loads the same
+        shuffled = random.sample(rows, len(rows))
+        path.write_text("\n".join(shuffled) + "\n")
+        assert io_.load_trajectory_csv(path).wrapped.tobytes() == positions.tobytes()
+        path.write_text("\n".join(map(drop_id, rows)) + "\n")
+        assert io_.load_trajectory_csv(path).wrapped.tobytes() == positions.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(trajectories(), st.data())
+    def test_bad_line_is_rejected_by_number(self, tmp_path_factory, positions, data):
+        path, rows = saved_rows(tmp_path_factory, positions)
+        kind = data.draw(st.sampled_from(["nan", "frame", "duplicate", "fields"]))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        fields = rows[k].split(",")
+        if kind == "duplicate":
+            # a copy of an earlier row of the same file repeats its (frame, id)
+            j = data.draw(st.integers(0, k))
+            rows.insert(k + 1, rows[j])
+            t, agent = rows[j].split(",")[:2]
+            message = f"line {k + 2}: duplicate id '{agent}' in frame {t}"
+        else:
+            if kind == "nan":
+                fields[data.draw(st.sampled_from([2, 3]))] = "nan"
+                message = f"line {k + 1}: non-finite field 'nan'"
+            elif kind == "frame":
+                fields[0] = "1.5"
+                message = f"line {k + 1}: frame label '1.5' is not an integer"
+            else:
+                count = data.draw(st.sampled_from([1, 2, 5, 6]))
+                fields = (fields * 2)[:count]
+                message = f"line {k + 1}: expected 3 or 4 fields, found {count}"
+            rows[k] = ",".join(fields)
+            if data.draw(st.booleans(), label="three-column form"):
+                rows = [row if i == k else drop_id(row) for i, row in enumerate(rows)]
+                if kind != "fields":
+                    rows[k] = drop_id(rows[k])
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io_.load_trajectory_csv(path)

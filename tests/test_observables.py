@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist
 
 from swarmphase import observables
 from swarmphase.mapping import CorrespondenceMap
@@ -252,3 +254,76 @@ class TestDistanceMatrix:
         lhs = d[:, None, :]
         rhs = d[:, :, None] + d[None, :, :]
         assert np.all(lhs <= rhs + 1e-15)
+
+
+def label_propagation_count(pos, radius):
+    """Dense oracle: every agent takes the smallest index among its neighbours until nothing changes."""
+    linked = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= radius
+    labels = np.arange(len(pos))
+    while True:
+        spread = np.where(linked, labels[None, :], len(pos)).min(axis=1)
+        if np.array_equal(spread, labels):
+            return len(np.unique(labels))
+        labels = spread
+
+
+class TestComponentSeriesBlocks:
+    @staticmethod
+    def pair_count(frame, radius):
+        return int(np.sum(pdist(frame) <= radius)) if len(frame) > 1 else 0
+
+    def mixed_stack(self, rng, n_frames, n):
+        """Frames of three kinds: one cluster, isolated agents, random scatter."""
+        frames = []
+        for t in range(n_frames):
+            if t % 3 == 0:
+                frames.append(rng.uniform(0, 0.5, size=(n, 2)))
+            elif t % 3 == 1:
+                frames.append(10.0 * rng.permutation(n)[:, None] * np.array([[1.0, 0.5]]))
+            else:
+                frames.append(rng.integers(0, 8, size=(n, 2)).astype(float))
+        return np.array(frames)
+
+    @pytest.mark.parametrize(
+        "n_frames,n",
+        [(60, 50), (5, 200), (7, 1), (1, 25), (1, 200)],
+        ids=["many-blocks", "frame-over-budget", "one-agent", "one-frame", "one-big-frame"],
+    )
+    def test_matches_per_frame_oracle(self, n_frames, n):
+        rng = np.random.default_rng(n_frames * 1000 + n)
+        stack, radius = self.mixed_stack(rng, n_frames, n), 1.0
+        pairs = [self.pair_count(frame, radius) for frame in stack]
+        got = observables.component_series(stack, radius)
+        assert list(got) == [label_propagation_count(frame, radius) for frame in stack]
+        # the cases hold what their names say
+        if n_frames > 1 and n > 1:
+            assert 0 in pairs
+        if n == 200:
+            assert max(pairs) > observables._BLOCK_PAIRS
+        if n_frames == 60:
+            # the first block closes with less than this, so frames remain for a second
+            assert sum(pairs) > observables._BLOCK_PAIRS + max(pairs)
+
+    def test_one_graph_search_per_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(-3, 3, size=(600, 30, 2))
+        radius = 3.0
+        expected = observables.component_series(stack, radius)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(observables, "connected_components", counting)
+        assert np.array_equal(observables.component_series(stack, radius), expected)
+        total = sum(self.pair_count(frame, radius) for frame in stack)
+        assert total > 4 * observables._BLOCK_PAIRS
+        assert 1 < len(calls) <= math.ceil(total / observables._BLOCK_PAIRS) + 1
+
+    def test_radius_and_empty_stack(self):
+        assert observables.component_series(np.zeros((0, 5, 2)), 1.0).size == 0
+        with pytest.raises(ValueError, match="radius"):
+            observables.component_series(np.zeros((2, 3, 2)), 0.0)
+        with pytest.raises(ValueError, match="radius"):
+            observables.connected_component_count(np.zeros((3, 2)), -1.0)
