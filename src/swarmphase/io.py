@@ -81,7 +81,7 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
             raise ValueError(f"frame {t}: expected {expected} agents, found {len(rows)}")
 
     positions = np.array([[rows[key] for key in sorted(rows)] for _, rows in sorted(frames.items())])
-    return TrajectoryDataset(wrapped=positions, unwrapped=None, periodic=False)
+    return TrajectoryDataset(wrapped=positions)
 
 
 def _is_number(field: str) -> bool:

@@ -90,13 +90,13 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
 
     distances = squareform(pdist(pts))
     order = np.argsort(distances, axis=1, kind="stable")
-    ranked = [row[row != i] for i, row in enumerate(order)]
+    rows = np.arange(n)[:, None]
+    ranked = order[order != rows].reshape(n, n - 1)
 
     k_eff = min(k, n - 1)
     while True:
         adjacency = np.zeros((n, n), dtype=bool)
-        for i, row in enumerate(ranked):
-            adjacency[i, row[:k_eff]] = True
+        adjacency[rows, ranked[:, :k_eff]] = True
         adjacency |= adjacency.T
         # sparse input: csgraph would first copy a dense matrix to float64
         if connected_components(csr_matrix(adjacency), directed=False)[0] == 1:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .sim import into_box, minimum_image
+
 
 class LowConfidenceMatchWarning(UserWarning):
     """Raised when fewer than half the agents matched without conflicts."""
@@ -61,13 +63,7 @@ def _as_points(config: np.ndarray, name: str) -> np.ndarray:
 def _box_displacements(deltas: np.ndarray, box_size: np.ndarray | None) -> np.ndarray:
     if box_size is None:
         return deltas
-    return deltas - box_size * np.round(deltas / box_size)
-
-
-def _into_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
-    # np.mod can round a tiny negative up to the box edge itself; fold it back
-    shifted = np.mod(points, box)
-    return np.where(shifted >= box, 0.0, shifted)
+    return minimum_image(deltas, box_size[0] / 2.0, box_size[1] / 2.0)
 
 
 def nearest_neighbor_map(
@@ -92,8 +88,8 @@ def nearest_neighbor_map(
         tree = cKDTree(target)
         dist, idx = tree.query(source, k=2)
     else:
-        tree = cKDTree(_into_box(target, box), boxsize=box)
-        dist, idx = tree.query(_into_box(source, box), k=2)
+        tree = cKDTree(into_box(target, box), boxsize=box)
+        dist, idx = tree.query(into_box(source, box), k=2)
     candidates = idx[:, 0].astype(int)
 
     # An exact distance tie makes the KD-tree's pick order-dependent; redo

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
@@ -163,16 +163,8 @@ def component_series(positions: np.ndarray, radius: float) -> np.ndarray:
 def _block_counts(pairs: np.ndarray, n_frames: int, n: int) -> np.ndarray:
     """Component count per frame of ``n_frames`` frames of ``n`` nodes linked by ``pairs``."""
     m = n_frames * n
-    i, j = pairs.T
-    # sorted keys ``row * m + col`` of both directions are the CSR rows; they
-    # are distinct, which the strong search needs: it does not return on a
-    # row that repeats a column
-    keys = np.sort(np.concatenate((i * m + j, j * m + i)))
-    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
-    graph = csr_matrix((np.ones(keys.size), keys % m, indptr), shape=(m, m))
-    # on a symmetric graph the strong components are the undirected ones,
-    # and the directed search skips the transpose
-    n_labels, labels = connected_components(graph, directed=True, connection="strong")
+    graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(m, m))
+    n_labels, labels = connected_components(graph, directed=False)
     frame_of_label = np.empty(n_labels, dtype=np.intp)
     frame_of_label[labels] = np.arange(m) // n
     return np.bincount(frame_of_label, minlength=n_frames)

@@ -67,7 +67,6 @@ class PipelineConfig:
     canonicalize: bool = True
     prefer_unwrapped: bool = True
     periodic_matching: bool = False
-    literal_sigmoid: bool = False
     dump_correspondence: bool = False
 
     def validate(self) -> None:
@@ -102,13 +101,11 @@ class PipelineConfig:
             if value is not None and value <= 0:
                 raise ConfigError(f"{key}: must be positive")
         if self.input_path is not None:
-            for key in ("seed", *_SCENARIO_OVERRIDES, "literal_sigmoid", "periodic_matching"):
+            for key in ("seed", *_SCENARIO_OVERRIDES, "periodic_matching"):
                 value = getattr(self, key)
                 # not ``value in (None, False)``: seed 0 == False would pass
                 if value is not None and value is not False:
                     raise ConfigError(f"{key}: applies only to a simulated scenario, not to an input file")
-        if self.literal_sigmoid and self.scenario != "split-rejoin":
-            raise ConfigError(f"literal_sigmoid: applies only to split-rejoin, not to {self.scenario!r}")
 
     def resolved_seed(self) -> int:
         return 0 if self.seed is None else self.seed
@@ -192,8 +189,6 @@ def _scenario_overrides(config: PipelineConfig) -> dict:
         value = getattr(config, key)
         if value is not None:
             overrides[key] = value
-    if config.literal_sigmoid:
-        overrides["literal_sigmoid"] = True
     return overrides
 
 

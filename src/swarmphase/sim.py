@@ -60,14 +60,21 @@ def minimum_image(deltas: np.ndarray, half_width: float, half_height: float) -> 
     return deltas - box * np.round(deltas / box)
 
 
+def into_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Coordinates modulo ``box``, inside ``[0, box)`` as a periodic k-d tree needs them."""
+    # np.mod can round a tiny negative up to the box edge itself; fold it back
+    shifted = np.mod(points, box)
+    return np.where(shifted >= box, 0.0, shifted)
+
+
 @dataclass
 class SimParams:
     """Full description of one simulation run.
 
     Schedule arrays have one entry per update step (``n_steps - 1`` entries;
     index ``k`` drives the update from frame ``k+1`` to frame ``k+2`` in
-    1-based frame counting). ``rotations`` may be ``None``, meaning identity
-    for every agent at every step.
+    1-based frame counting); a scalar applies to every step. ``rotations``
+    may be ``None``, meaning identity for every agent at every step.
     """
 
     n_agents: int
@@ -82,7 +89,6 @@ class SimParams:
     dt: float = 0.05
     interaction_radius: float = 1.0
     seed: int = 0
-    name: str = "custom"
     phase_boundaries: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -97,15 +103,9 @@ class SimParams:
         if self.interaction_radius <= 0:
             raise ValueError("interaction_radius must be positive")
         n_updates = self.n_steps - 1
-        self.speed_base = np.broadcast_to(
-            np.asarray(self.speed_base, dtype=float), (n_updates,)
-        ).copy()
-        self.noise_low = np.broadcast_to(
-            np.asarray(self.noise_low, dtype=float), (n_updates,)
-        ).copy()
-        self.noise_high = np.broadcast_to(
-            np.asarray(self.noise_high, dtype=float), (n_updates,)
-        ).copy()
+        for key in ("speed_base", "noise_low", "noise_high"):
+            value = np.asarray(getattr(self, key), dtype=float)
+            setattr(self, key, np.broadcast_to(value, (n_updates,)).copy())
         if np.any(self.noise_low > self.noise_high):
             raise ValueError("noise bounds must satisfy low <= high at every step")
         if self.rotations is not None:
@@ -137,8 +137,6 @@ class TrajectoryDataset:
     unwrapped: np.ndarray | None = None
     half_width: float | None = None
     half_height: float | None = None
-    periodic: bool = False
-    seed: int | None = None
     phase_boundaries: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -188,9 +186,7 @@ def _adjacency(
     n = positions.shape[0]
     if periodic:
         box = np.array([2.0 * half_width, 2.0 * half_height])
-        # np.mod can round a tiny negative up to the box edge itself; fold it back
-        shifted = np.mod(positions, box)
-        tree = cKDTree(np.where(shifted >= box, 0.0, shifted), boxsize=box)
+        tree = cKDTree(into_box(positions, box), boxsize=box)
     else:
         tree = cKDTree(positions)
     pairs = tree.query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
@@ -301,8 +297,6 @@ def simulate(params: SimParams) -> TrajectoryDataset:
         unwrapped=unwrapped,
         half_width=params.half_width,
         half_height=params.half_height,
-        periodic=True,
-        seed=params.seed,
         phase_boundaries=params.phase_boundaries,
     )
 
@@ -311,9 +305,13 @@ def simulate(params: SimParams) -> TrajectoryDataset:
 # Scenario schedules
 # ---------------------------------------------------------------------------
 
-def _step_labels(n_steps: int) -> np.ndarray:
+def _middle_window(scenario: str, n_steps: int, inside: float, outside: float) -> np.ndarray:
+    """Per-step schedule: ``inside`` during steps 50..99, ``outside`` elsewhere."""
+    if n_steps < 100:
+        raise ValueError(f"{scenario} schedule needs n_steps >= 100")
     # 1-based label of each update step; step t moves frame t to frame t+1
-    return np.arange(1, n_steps)
+    t = np.arange(1, n_steps)
+    return np.where((t >= 50) & (t < 100), inside, outside)
 
 
 def scenario_speed_switch(
@@ -329,24 +327,17 @@ def scenario_speed_switch(
     noise_amplitude: float = 0.01,
 ) -> SimParams:
     """Speed doubles during steps 50..99, reverts at 100."""
-    if n_steps < 100:
-        raise ValueError("speed-switch schedule needs n_steps >= 100")
-    t = _step_labels(n_steps)
-    speed = np.where((t >= 50) & (t < 100), fast_speed, slow_speed)
-    amp = np.full(n_steps - 1, noise_amplitude)
     return SimParams(
         n_agents=n_agents,
         n_steps=n_steps,
         half_width=half_width,
         half_height=half_height,
-        speed_base=speed,
+        speed_base=_middle_window("speed-switch", n_steps, fast_speed, slow_speed),
         speed_jitter=speed_jitter,
-        noise_low=-amp,
-        noise_high=amp,
-        rotations=None,
+        noise_low=-noise_amplitude,
+        noise_high=noise_amplitude,
         dt=dt,
         seed=seed,
-        name="speed-switch",
         phase_boundaries=(50, 100),
     )
 
@@ -364,23 +355,18 @@ def scenario_noise_switch(
     high_noise: float = 0.2,
 ) -> SimParams:
     """Heading-noise amplitude jumps from low to high during steps 50..99."""
-    if n_steps < 100:
-        raise ValueError("noise-switch schedule needs n_steps >= 100")
-    t = _step_labels(n_steps)
-    amp = np.where((t >= 50) & (t < 100), high_noise, low_noise)
+    amp = _middle_window("noise-switch", n_steps, high_noise, low_noise)
     return SimParams(
         n_agents=n_agents,
         n_steps=n_steps,
         half_width=half_width,
         half_height=half_height,
-        speed_base=np.full(n_steps - 1, speed),
+        speed_base=speed,
         speed_jitter=speed_jitter,
         noise_low=-amp,
         noise_high=amp,
-        rotations=None,
         dt=dt,
         seed=seed,
-        name="noise-switch",
         phase_boundaries=(50, 100),
     )
 
@@ -389,21 +375,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def split_reference_path(n_steps: int, literal_sigmoid: bool = False) -> np.ndarray:
+def split_reference_path(n_steps: int) -> np.ndarray:
     """Bump-shaped reference path whose tangent steers the split.
 
     The horizontal coordinate sweeps -6..6 in ``n_steps`` uniform increments.
     The vertical coordinate is a difference of two sigmoids in normalized
-    time (argument ``12 t / T``), rising to a plateau and falling back. The
-    ``literal_sigmoid`` switch uses ``T/12 * t`` instead, which saturates
-    immediately and produces a flat path; it is kept only for comparison.
+    time (argument ``12 t / T``), rising to a plateau and falling back.
     """
     t = np.arange(1, n_steps + 1, dtype=float)
     x1 = 6.0 * (2.0 * t - n_steps) / n_steps
-    if literal_sigmoid:
-        arg = (n_steps / 12.0) * t
-    else:
-        arg = 12.0 * t / n_steps
+    arg = 12.0 * t / n_steps
     x2 = 5.0 * (_sigmoid(arg - 4.0) - _sigmoid(arg - 8.0))
     return np.column_stack((x1, x2))
 
@@ -424,31 +405,28 @@ def scenario_split_rejoin(
     speed: float = 0.05,
     speed_jitter: float = 0.01,
     noise_amplitude: float = 0.01,
-    literal_sigmoid: bool = False,
 ) -> SimParams:
     """First half of the agents deflected by ``+gamma(t)``, second half by ``-gamma(t)``."""
     if n_agents % 2 != 0:
         raise ValueError("split-rejoin needs an even n_agents (two equal halves)")
-    path = split_reference_path(n_steps, literal_sigmoid=literal_sigmoid)
+    path = split_reference_path(n_steps)
     gamma = split_rotation_angles(path)
     first_half = (n_agents + 1) // 2
     rotations = np.empty((n_steps - 1, n_agents, 2, 2))
     rotations[:, :first_half] = rotation_matrices(gamma)[:, None, :, :]
     rotations[:, first_half:] = rotation_matrices(-gamma)[:, None, :, :]
-    amp = np.full(n_steps - 1, noise_amplitude)
     return SimParams(
         n_agents=n_agents,
         n_steps=n_steps,
         half_width=half_width,
         half_height=half_height,
-        speed_base=np.full(n_steps - 1, speed),
+        speed_base=speed,
         speed_jitter=speed_jitter,
-        noise_low=-amp,
-        noise_high=amp,
+        noise_low=-noise_amplitude,
+        noise_high=noise_amplitude,
         rotations=rotations,
         dt=dt,
         seed=seed,
-        name="split-rejoin",
     )
 
 

@@ -199,12 +199,12 @@ class TestCliCommands:
         assert "nonsense" in capsys.readouterr().err
 
 
-# Today's 22 config keys, in declaration order; a renamed key fails here.
+# Today's 21 config keys, in declaration order; a renamed key fails here.
 CONFIG_KEYS = [
     "scenario", "input", "seed", "xi1", "xi2", "epsilon_mode", "k", "dmax",
     "threshold", "min_len", "merge_tol", "out", "n_agents", "n_steps",
     "half_width", "half_height", "dt", "canonicalize", "prefer_unwrapped",
-    "periodic_matching", "literal_sigmoid", "dump_correspondence",
+    "periodic_matching", "dump_correspondence",
 ]
 
 # (config key, field, config-file value, CLI args, expected field value);
@@ -233,8 +233,6 @@ ROUTES = [
     ("prefer_unwrapped", "prefer_unwrapped", "yes", ["--prefer-unwrapped"], True),
     ("periodic_matching", "periodic_matching", "true", ["--periodic-matching"], True),
     ("periodic_matching", "periodic_matching", "false", ["--no-periodic-matching"], False),
-    ("literal_sigmoid", "literal_sigmoid", "1", ["--literal-sigmoid"], True),
-    ("literal_sigmoid", "literal_sigmoid", "0", ["--no-literal-sigmoid"], False),
     ("dump_correspondence", "dump_correspondence", "on", ["--dump-correspondence"], True),
     ("dump_correspondence", "dump_correspondence", "off", ["--no-dump-correspondence"], False),
 ]
@@ -266,7 +264,6 @@ class TestConfigSchema:
             ("half_width", 3.0),
             ("half_height", 3.0),
             ("dt", 0.5),
-            ("literal_sigmoid", True),
             ("periodic_matching", True),
         ],
     )
@@ -302,16 +299,20 @@ class TestFailedRunLeavesNoOutput:
 
 
 class TestSettingsThatDoNothingAreRejected:
-    @pytest.mark.parametrize("scenario", ["speed-switch", "noise-switch"])
-    def test_literal_sigmoid_needs_split_rejoin(self, tmp_path, capsys, scenario):
-        out_dir = tmp_path / "out"
-        argv = ["run", "--scenario", scenario, "--n-agents", "10", "--n-steps", "105", "--literal-sigmoid"]
-        assert cli.main([*argv, "--out", str(out_dir)]) == 1
-        assert capsys.readouterr().err.startswith("swarmphase: error: literal_sigmoid: ")
-        assert not out_dir.exists()
-        config = pipeline.config_from_sources({"scenario": scenario, "literal_sigmoid": "on"})
-        with pytest.raises(pipeline.ConfigError, match=f"^literal_sigmoid: .*'{scenario}'"):
-            config.validate()
+    def test_literal_sigmoid_flag_is_gone(self, tmp_path, capsys):
+        argv = ["run", "--scenario", "split-rejoin", "--literal-sigmoid", "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--literal-sigmoid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_literal_sigmoid_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = split-rejoin\nliteral_sigmoid = on\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "unknown config key 'literal_sigmoid'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["0", "5"])
     def test_input_rejects_an_explicit_seed(self, tmp_path, capsys, seed):

@@ -317,3 +317,14 @@ def test_correspond_fuzz_every_source_at_one_point(box_size, frames):
 @given(single_agent)
 def test_correspond_fuzz_single_agent(box_size, frames):
     assert_bijection_with_exact_velocities(*frames, box_size)
+
+
+def test_correspond_folds_coordinates_that_round_onto_the_box_edge():
+    # np.mod(-1e-17, 4.0) is 4.0, which a periodic k-d tree refuses; the tree
+    # is built on the target frame, so the edge cases sit there
+    box_size = (4.0, 3.0)
+    tiny = np.nextafter(0.0, -1.0)
+    target = np.array([[-1e-17, 1.0], [tiny, 2.0], [4.0, -3.0], [2.0, -1e-17], [1.0, tiny]])
+    source = np.array([[3.95, 1.05], [0.05, 1.9], [0.1, 2.95], [2.0, 2.9], [1.1, 0.1]])
+    assert np.any(np.mod(target, box_size) >= box_size)
+    assert_bijection_with_exact_velocities(source, target, box_size)

@@ -116,6 +116,25 @@ class TestInteractionEpsilon:
             observables.interaction_epsilon(np.zeros((1, 3, 2)), "median")
 
 
+def bfs_count(pos, radius):
+    """Dense oracle: breadth-first search over the inclusive distance-``radius`` graph."""
+    linked = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= radius
+    seen = np.zeros(len(pos), dtype=bool)
+    count = 0
+    for start in range(len(pos)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for j in np.flatnonzero(linked[i] & ~seen):
+                seen[j] = True
+                queue.append(j)
+    return count
+
+
 class TestComponents:
     def test_chain_is_one_component(self):
         pos = np.array([[i * 0.9, 0.0] for i in range(8)])
@@ -154,23 +173,6 @@ class TestComponents:
         assert list(observables.component_series(frames, 1.0)) == [2, 3]
 
     def test_matches_dense_bfs_oracle(self):
-        def bfs_count(pos, radius):
-            linked = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= radius
-            seen = np.zeros(len(pos), dtype=bool)
-            count = 0
-            for start in range(len(pos)):
-                if seen[start]:
-                    continue
-                count += 1
-                seen[start] = True
-                queue = deque([start])
-                while queue:
-                    i = queue.popleft()
-                    for j in np.flatnonzero(linked[i] & ~seen):
-                        seen[j] = True
-                        queue.append(j)
-            return count
-
         rng = np.random.default_rng(11)
         boundary_pairs = 0
         for case in range(300):
@@ -256,17 +258,6 @@ class TestDistanceMatrix:
         assert np.all(lhs <= rhs + 1e-15)
 
 
-def label_propagation_count(pos, radius):
-    """Dense oracle: every agent takes the smallest index among its neighbours until nothing changes."""
-    linked = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= radius
-    labels = np.arange(len(pos))
-    while True:
-        spread = np.where(linked, labels[None, :], len(pos)).min(axis=1)
-        if np.array_equal(spread, labels):
-            return len(np.unique(labels))
-        labels = spread
-
-
 class TestComponentSeriesBlocks:
     @staticmethod
     def pair_count(frame, radius):
@@ -294,7 +285,7 @@ class TestComponentSeriesBlocks:
         stack, radius = self.mixed_stack(rng, n_frames, n), 1.0
         pairs = [self.pair_count(frame, radius) for frame in stack]
         got = observables.component_series(stack, radius)
-        assert list(got) == [label_propagation_count(frame, radius) for frame in stack]
+        assert list(got) == [bfs_count(frame, radius) for frame in stack]
         # the cases hold what their names say
         if n_frames > 1 and n > 1:
             assert 0 in pairs

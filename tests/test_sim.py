@@ -132,7 +132,7 @@ class TestSchedules:
         assert np.all(norms[148] >= 0.04) and np.all(norms[148] <= 0.06)
 
     def test_speed_switch_rejects_short_run(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^speed-switch schedule needs n_steps >= 100$"):
             sim.scenario_speed_switch(n_steps=99)
 
     def test_noise_switch_bounds(self):
@@ -140,8 +140,22 @@ class TestSchedules:
         assert p.noise_high[9] == 0.01 and p.noise_low[9] == -0.01
         assert p.noise_high[74] == 0.2 and p.noise_low[74] == -0.2
         assert p.noise_high[119] == 0.01
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^noise-switch schedule needs n_steps >= 100$"):
             sim.scenario_noise_switch(n_steps=80)
+
+    @pytest.mark.parametrize("n_steps", [100, 101, 150, 600])
+    def test_switch_schedules_are_the_middle_window(self, n_steps):
+        # 1-based step t drives frame t to t+1; steps 50..99 are switched
+        t = np.arange(1, n_steps)
+        middle = (t >= 50) & (t < 100)
+        speed = sim.scenario_speed_switch(n_steps=n_steps)
+        assert np.array_equal(speed.speed_base, np.where(middle, 0.1, 0.05))
+        assert np.array_equal(speed.noise_low, np.where(middle, -0.01, -0.01))
+        assert np.array_equal(speed.noise_high, np.where(middle, 0.01, 0.01))
+        noise = sim.scenario_noise_switch(n_steps=n_steps)
+        assert np.array_equal(noise.speed_base, np.where(middle, 0.05, 0.05))
+        assert np.array_equal(noise.noise_low, np.where(middle, -0.2, -0.01))
+        assert np.array_equal(noise.noise_high, np.where(middle, 0.2, 0.01))
 
     def test_split_rejects_odd_agents(self):
         with pytest.raises(ValueError):
@@ -169,9 +183,8 @@ class TestSchedules:
         assert np.allclose(det, 1.0, atol=1e-12)
 
     def test_literal_sigmoid_saturates(self):
-        # the literal argument saturates both sigmoids immediately: flat path
-        flat = sim.split_reference_path(220, literal_sigmoid=True)
-        assert np.max(np.abs(flat[:, 1])) < 0.01
+        # the normalized argument 12 t / T rises to a plateau; the literal
+        # T/12 * t would saturate both sigmoids at once and leave a flat path
         bump = sim.split_reference_path(220)
         assert np.max(bump[:, 1]) > 3.0
 
