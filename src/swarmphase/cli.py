@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .io import load_config_file
 from .pipeline import (
@@ -56,26 +57,33 @@ def _config_from_args(args: argparse.Namespace):
     return config_from_sources(file_values, overrides)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning by its class name, without the path and source line that raised it."""
+    sys.stderr.write(f"swarmphase: warning: {category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = _config_from_args(args)
-        if args.command == "simulate":
-            artifacts = run_simulate(config)
-        elif args.command == "isomap":
-            artifacts = run_isomap(config)
-        else:
-            if args.command == "analyze" and config.input_path is None:
-                raise ConfigError("input: the analyze command needs a trajectory file")
-            result = run_pipeline(config)
-            sys.stdout.write(result.summary)
-            artifacts = result.artifacts
-        for name in sorted(artifacts):
-            sys.stdout.write(f"wrote {name}: {artifacts[name]}\n")
-        return 0
-    except (ConfigError, PipelineError, OSError, ValueError) as exc:
-        sys.stderr.write(f"swarmphase: error: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            config = _config_from_args(args)
+            if args.command == "simulate":
+                artifacts = run_simulate(config)
+            elif args.command == "isomap":
+                artifacts = run_isomap(config)
+            else:
+                if args.command == "analyze" and config.input_path is None:
+                    raise ConfigError("input: the analyze command needs a trajectory file")
+                result = run_pipeline(config)
+                sys.stdout.write(result.summary)
+                artifacts = result.artifacts
+            for name in sorted(artifacts):
+                sys.stdout.write(f"wrote {name}: {artifacts[name]}\n")
+            return 0
+        except (ConfigError, PipelineError, OSError, ValueError) as exc:
+            sys.stderr.write(f"swarmphase: error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

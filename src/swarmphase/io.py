@@ -7,6 +7,7 @@ exact, and the PGM writer is byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,24 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _frame_rows(n_agents: int, fields: str) -> str:
+    """Format string of one frame: a row ``{0},i,<fields>`` for each agent ``i``.
+
+    ``str.format`` fills in the frame label, and then ``%`` the row values;
+    ``%.17g`` prints a float as ``format_float`` does.
+    """
+    return "".join(f"{{0}},{i},{fields}\n" for i in range(1, n_agents + 1))
+
+
 def save_trajectory_csv(path, positions: np.ndarray) -> None:
     """Write rows ``t,id,x,y`` with 1-based frame and agent indices."""
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 3 or pos.shape[2] != 2:
         raise ValueError("positions must have shape (T, N, 2)")
+    rows = _frame_rows(pos.shape[1], "%.17g,%.17g")
     with open(path, "w") as out:
         for t, frame in enumerate(pos, start=1):
-            for agent, (x, y) in enumerate(frame, start=1):
-                out.write(f"{t},{agent},{format_float(x)},{format_float(y)}\n")
+            out.write(rows.format(t) % tuple(frame.ravel().tolist()))
 
 
 def load_trajectory_csv(path) -> TrajectoryDataset:
@@ -40,47 +50,53 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
     non-integer frame labels and an id repeated within a frame are rejected
     with the line number.
     """
-    frames: dict[int, dict[float, tuple[float, float]]] = {}
-    n_fields = None
+    width = None
+    values = array("d")
+    seen_ids = set()
     with open(path) as lines:
         for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
+            # float() ignores surrounding whitespace; fields are stripped only for messages
+            fields = raw.split(",")
+            if len(fields) == 1 and not raw.strip():
                 continue
-            fields = [f.strip() for f in line.split(",")]
-            if line_no == 1 and set(f.lower() for f in fields) <= TRAJECTORY_HEADER_NAMES:
+            if line_no == 1 and set(f.strip().lower() for f in fields) <= TRAJECTORY_HEADER_NAMES:
                 continue
             if len(fields) not in (3, 4):
                 raise ValueError(f"line {line_no}: expected 3 or 4 fields, found {len(fields)}")
-            if n_fields is None:
-                n_fields = len(fields)
-            elif len(fields) != n_fields:
-                raise ValueError(f"line {line_no}: expected {n_fields} fields, found {len(fields)}")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ValueError(f"line {line_no}: expected {width} fields, found {len(fields)}")
             try:
-                numbers = [float(f) for f in fields]
+                numbers = list(map(float, fields))
             except ValueError:
-                bad = next(f for f in fields if not _is_number(f))
+                bad = next(f.strip() for f in fields if not _is_number(f))
                 raise ValueError(f"line {line_no}: non-numeric field {bad!r}") from None
             if not all(map(math.isfinite, numbers)):
-                bad = next(f for f, v in zip(fields, numbers) if not math.isfinite(v))
+                bad = next(f.strip() for f, v in zip(fields, numbers) if not math.isfinite(v))
                 raise ValueError(f"line {line_no}: non-finite field {bad!r}")
             if not numbers[0].is_integer():
-                raise ValueError(f"line {line_no}: frame label {fields[0]!r} is not an integer")
-            t = int(numbers[0])
-            rows = frames.setdefault(t, {})
-            key = numbers[1] if n_fields == 4 else len(rows)
-            if key in rows:
-                raise ValueError(f"line {line_no}: duplicate id {fields[1]!r} in frame {t}")
-            rows[key] = (numbers[-2], numbers[-1])
+                raise ValueError(f"line {line_no}: frame label {fields[0].strip()!r} is not an integer")
+            if len(numbers) == 4:
+                key = (numbers[0], numbers[1])
+                if key in seen_ids:
+                    raise ValueError(f"line {line_no}: duplicate id {fields[1].strip()!r} in frame {int(numbers[0])}")
+                seen_ids.add(key)
+            values.extend(numbers)
 
-    if not frames:
+    if width is None:
         raise ValueError("trajectory file contains no data rows")
-    expected = len(next(iter(frames.values())))
-    for t, rows in frames.items():
-        if len(rows) != expected:
-            raise ValueError(f"frame {t}: expected {expected} agents, found {len(rows)}")
+    rows = np.frombuffer(values).reshape(-1, width)
+    labels, first_row, sizes = np.unique(rows[:, 0], return_index=True, return_counts=True)
+    expected = sizes[np.argmin(first_row)]
+    wrong = np.flatnonzero(sizes != expected)
+    if wrong.size:
+        k = wrong[np.argmin(first_row[wrong])]
+        raise ValueError(f"frame {int(labels[k])}: expected {expected} agents, found {sizes[k]}")
 
-    positions = np.array([[rows[key] for key in sorted(rows)] for _, rows in sorted(frames.items())])
+    # a stable sort by frame label, then id; the 3-column form keeps row order
+    order = np.lexsort((rows[:, 1], rows[:, 0]) if width == 4 else (rows[:, 0],))
+    positions = rows[order, -2:].reshape(labels.size, expected, 2)
     return TrajectoryDataset(wrapped=positions)
 
 
@@ -133,14 +149,13 @@ def save_embedding_csv(path, coordinates: np.ndarray) -> None:
 
 def save_correspondence_csv(path, maps) -> None:
     """Debug dump of per-step permutations and velocities."""
-    lines = ["t,source,target,bijective,vx,vy"]
-    for m in maps:
-        for i in range(m.n_agents):
-            lines.append(
-                f"{m.step},{i + 1},{int(m.permutation[i]) + 1},{int(m.bijective[i])},"
-                f"{format_float(m.velocities[i, 0])},{format_float(m.velocities[i, 1])}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write("t,source,target,bijective,vx,vy\n")
+        rows = _frame_rows(maps[0].n_agents if maps else 0, "%d,%d,%.17g,%.17g")
+        for m in maps:
+            # one float table per step; %d prints the integral target and flag columns
+            table = np.column_stack((m.permutation + 1, m.bijective, m.velocities))
+            out.write(rows.format(m.step) % tuple(table.ravel().tolist()))
 
 
 def save_distance_pgm(path, delta: np.ndarray) -> None:

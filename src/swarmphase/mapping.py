@@ -1,16 +1,17 @@
 """Frame-to-frame agent correspondence reconstructed from positions alone.
 
-Agent identities are not assumed to be preserved between frames. For each
-consecutive frame pair the match is built in three stages:
+Agent identities are not assumed to be preserved between frames. All
+consecutive frame pairs are matched at once, each in three stages:
 
 1. every source agent proposes its nearest neighbor in the next frame
-   (KD-tree lookup, ties broken toward the lowest target index);
+   (one KD-tree per target frame, ties broken toward the lowest target index);
 2. proposals that do not collide are accepted outright; when several sources
    share a target, the source with the smallest displacement wins and the
    rest are left unmatched;
 3. the leftover sources are matched greedily (in source order) to leftover
    targets by picking the displacement closest to the mean velocity of the
-   already-matched agents.
+   already-matched agents; the r-th leftover source of every frame is
+   placed in one pass.
 
 The result is always a bijection, and every agent's velocity is the
 displacement to its matched target.
@@ -53,11 +54,20 @@ class CorrespondenceMap:
         return self.permutation.shape[0]
 
 
-def _as_points(config: np.ndarray, name: str) -> np.ndarray:
-    pts = np.asarray(config, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"{name} must have shape (N, 2)")
-    return pts
+def _frame_pair(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    pair = []
+    for config, name in ((source, "source"), (target, "target")):
+        pts = np.asarray(config, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"{name} must have shape (N, 2)")
+        pair.append(pts)
+    if pair[0].shape[0] != pair[1].shape[0]:
+        raise ValueError("source and target must contain the same number of agents")
+    return pair[0], pair[1]
+
+
+def _as_box(box_size: tuple[float, float] | None) -> np.ndarray | None:
+    return np.asarray(box_size, dtype=float) if box_size is not None else None
 
 
 def _box_displacements(deltas: np.ndarray, box_size: np.ndarray | None) -> np.ndarray:
@@ -75,29 +85,27 @@ def nearest_neighbor_map(
     ``box_size`` is given, distances use the periodic minimum image and all
     coordinates are interpreted modulo the box.
     """
-    source = _as_points(source, "source")
-    target = _as_points(target, "target")
-    if source.shape[0] != target.shape[0]:
-        raise ValueError("source and target must contain the same number of agents")
-    n = target.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=int)
+    source, target = _frame_pair(source, target)
+    return _nearest(source[None], target[None], _as_box(box_size))[0]
 
-    box = np.asarray(box_size, dtype=float) if box_size is not None else None
-    if box is None:
-        tree = cKDTree(target)
-        dist, idx = tree.query(source, k=2)
-    else:
-        tree = cKDTree(into_box(target, box), boxsize=box)
-        dist, idx = tree.query(into_box(source, box), k=2)
-    candidates = idx[:, 0].astype(int)
+
+def _nearest(source: np.ndarray, target: np.ndarray, box: np.ndarray | None) -> np.ndarray:
+    """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, ``(P, N)`` out."""
+    n_pairs, n = source.shape[:2]
+    if n == 1:
+        return np.zeros((n_pairs, 1), dtype=int)
+    tree_source, tree_target = (source, target) if box is None else (into_box(source, box), into_box(target, box))
+    candidates = np.empty((n_pairs, n), dtype=int)
+    tied = np.empty((n_pairs, n), dtype=bool)
+    for f in range(n_pairs):
+        dist, idx = cKDTree(tree_target[f], boxsize=box).query(tree_source[f], k=2)
+        candidates[f], tied[f] = idx[:, 0], dist[:, 0] == dist[:, 1]
 
     # An exact distance tie makes the KD-tree's pick order-dependent; redo
     # those rows by brute force so the lowest index always wins.
-    for i in np.flatnonzero(dist[:, 0] == dist[:, 1]):
-        deltas = _box_displacements(target - source[i], box)
-        d2 = np.einsum("ij,ij->i", deltas, deltas)
-        candidates[i] = int(np.flatnonzero(d2 == d2.min())[0])
+    frames, rows = np.nonzero(tied)
+    deltas = _box_displacements(target[frames] - source[frames, rows][:, None], box)
+    candidates[frames, rows] = np.argmin(np.einsum("kij,kij->ki", deltas, deltas), axis=1)
     return candidates
 
 
@@ -119,88 +127,99 @@ def extract_bijective_domain(candidates: np.ndarray, distances: np.ndarray) -> n
     return mask
 
 
-def residual_match(
-    source_indices: np.ndarray,
-    target_indices: np.ndarray,
+def _residual_match(
+    permutation: np.ndarray,
+    leftover: np.ndarray,
     source: np.ndarray,
     target: np.ndarray,
     mean_velocity: np.ndarray,
-    box_size: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Greedy assignment of leftover sources to leftover targets.
+    box: np.ndarray | None,
+) -> None:
+    """Greedy assignment of every frame's leftover sources, in place.
 
-    Sources are visited in increasing index order; each takes the remaining
-    target whose displacement is closest to ``mean_velocity`` (ties toward
-    the lowest target index). Returns the matched target per source, aligned
-    with ``source_indices``.
+    Within a frame, leftover sources are visited in increasing index order;
+    each takes the free target whose displacement is closest to the frame's
+    ``mean_velocity`` (ties toward the lowest target index). One pass places
+    the r-th leftover source of every frame.
     """
-    source_indices = np.asarray(source_indices, dtype=int)
-    target_indices = np.asarray(target_indices, dtype=int)
-    if source_indices.shape != target_indices.shape:
-        raise ValueError("unmatched source and target counts must agree")
-    box = np.asarray(box_size, dtype=float) if box_size is not None else None
-    mu = np.asarray(mean_velocity, dtype=float)
+    counts = leftover.sum(axis=1)
+    if not counts.any():
+        return
+    width = counts.max()
+    frame_starts = np.cumsum(counts) - counts
 
-    remaining = sorted(target_indices.tolist())
-    out = np.empty_like(source_indices)
-    for pos, i in enumerate(source_indices):
-        options = np.asarray(remaining, dtype=int)
-        deltas = _box_displacements(target[options] - source[i], box) - mu
-        best = int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
-        out[pos] = remaining.pop(best)
-    return out
+    def by_rank(frames, agents):
+        table = np.zeros((counts.size, width), dtype=int)
+        table[frames, np.arange(frames.size) - np.repeat(frame_starts, counts)] = agents
+        return table
+
+    taken = np.zeros(leftover.shape, dtype=bool)
+    taken[np.nonzero(~leftover)[0], permutation[~leftover]] = True
+    sources, free = by_rank(*np.nonzero(leftover)), by_rank(*np.nonzero(~taken))
+    closed = np.arange(width) >= counts[:, None]
+    for r in range(width):
+        frames = np.flatnonzero(counts > r)
+        rows = sources[frames, r]
+        options = free[frames]
+        deltas = _box_displacements(target[frames[:, None], options] - source[frames, rows][:, None], box)
+        deltas -= mean_velocity[frames][:, None]
+        d2 = np.einsum("kij,kij->ki", deltas, deltas)
+        d2[closed[frames]] = np.inf
+        best = np.argmin(d2, axis=1)
+        # when every free target is at d2 = inf, the lowest free one is the pick
+        stuck = np.isinf(d2[np.arange(frames.size), best])
+        best[stuck] = np.argmin(closed[frames[stuck]], axis=1)
+        permutation[frames, rows] = options[np.arange(frames.size), best]
+        closed[frames, best] = True
+
+
+def _match(source: np.ndarray, target: np.ndarray, box: np.ndarray | None, first_step: int) -> list[CorrespondenceMap]:
+    """Correspondence maps of P frame pairs at once, given as ``(P, N, 2)`` arrays."""
+    n_pairs, n = source.shape[:2]
+    if n == 0:
+        raise ValueError("correspondence needs at least 1 agent per frame, found 0")
+    pair = np.arange(n_pairs)[:, None]
+    candidates = _nearest(source, target, box)
+    cand_disp = _box_displacements(target[pair, candidates] - source, box)
+    # the frame is the outermost key, so each frame keeps its own closest claimants
+    mask = extract_bijective_domain(
+        (candidates + n * pair).ravel(), np.linalg.norm(cand_disp, axis=2).ravel()
+    ).reshape(n_pairs, n)
+
+    # every frame accepts at least one proposal; bincount sums each frame
+    # from zero in source order, the bits of velocities[mask].mean(axis=0)
+    accepted_frame = np.nonzero(mask)[0]
+    accepted = cand_disp[mask]
+    domain_sums = [np.bincount(accepted_frame, weights=accepted[:, a]) for a in (0, 1)]
+    mu1 = np.stack(domain_sums, axis=1) / np.bincount(accepted_frame)[:, None]
+
+    permutation, velocities = candidates, cand_disp
+    _residual_match(permutation, ~mask, source, target, mu1, box)
+    frames, rows = np.nonzero(~mask)
+    velocities[frames, rows] = _box_displacements(target[frames, permutation[frames, rows]] - source[frames, rows], box)
+    mean_velocity = velocities.mean(axis=1)
+    return [
+        CorrespondenceMap(
+            step=first_step + f,
+            permutation=permutation[f],
+            bijective=mask[f],
+            velocities=velocities[f],
+            domain_mean_velocity=mu1[f],
+            mean_velocity=mean_velocity[f],
+        )
+        for f in range(n_pairs)
+    ]
 
 
 def correspond(
     source: np.ndarray,
     target: np.ndarray,
     step: int = 1,
-    fallback_mean: np.ndarray | None = None,
     box_size: tuple[float, float] | None = None,
 ) -> CorrespondenceMap:
-    """Full bijective correspondence between two consecutive frames.
-
-    ``fallback_mean`` substitutes for the conflict-free mean velocity when no
-    proposal survives stage two (degenerate collisions); it defaults to zero.
-    """
-    source = _as_points(source, "source")
-    target = _as_points(target, "target")
-    if source.shape[0] != target.shape[0]:
-        raise ValueError("source and target must contain the same number of agents")
-    n = source.shape[0]
-    box = np.asarray(box_size, dtype=float) if box_size is not None else None
-
-    candidates = nearest_neighbor_map(source, target, box_size=box_size)
-    cand_disp = _box_displacements(target[candidates] - source, box)
-    mask = extract_bijective_domain(candidates, np.linalg.norm(cand_disp, axis=1))
-
-    permutation = np.full(n, -1, dtype=int)
-    velocities = np.empty((n, 2))
-    permutation[mask] = candidates[mask]
-    velocities[mask] = cand_disp[mask]
-
-    if mask.any():
-        mu1 = velocities[mask].mean(axis=0)
-    elif fallback_mean is not None:
-        mu1 = np.asarray(fallback_mean, dtype=float)
-    else:
-        mu1 = np.zeros(2)
-
-    leftovers = np.flatnonzero(~mask)
-    if leftovers.size:
-        free_targets = np.setdiff1d(np.arange(n), permutation[mask])
-        assigned = residual_match(leftovers, free_targets, source, target, mu1, box_size=box_size)
-        permutation[leftovers] = assigned
-        velocities[leftovers] = _box_displacements(target[assigned] - source[leftovers], box)
-
-    return CorrespondenceMap(
-        step=step,
-        permutation=permutation,
-        bijective=mask,
-        velocities=velocities,
-        domain_mean_velocity=mu1,
-        mean_velocity=velocities.mean(axis=0),
-    )
+    """Full bijective correspondence between two consecutive frames."""
+    source, target = _frame_pair(source, target)
+    return _match(source[None], target[None], _as_box(box_size), step)[0]
 
 
 def velocities(
@@ -223,20 +242,16 @@ def velocities(
             raise ValueError("periodic matching needs the dataset box size")
         box_size = (2.0 * dataset.half_width, 2.0 * dataset.half_height)
 
-    maps: list[CorrespondenceMap] = []
-    previous_mean: np.ndarray | None = None
+    maps = _match(track[:-1], track[1:], _as_box(box_size), 1)
     n = track.shape[1]
-    for t in range(track.shape[0] - 1):
-        m = correspond(track[t], track[t + 1], step=t + 1, fallback_mean=previous_mean, box_size=box_size)
+    for m in maps:
         matched = int(m.bijective.sum())
         if matched < n / 2:
             warnings.warn(
-                f"step {t + 1}: only {matched} of {n} agents matched without conflicts",
+                f"step {m.step}: only {matched} of {n} agents matched without conflicts",
                 LowConfidenceMatchWarning,
                 stacklevel=2,
             )
-        previous_mean = m.mean_velocity
-        maps.append(m)
     return maps
 
 

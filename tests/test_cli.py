@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,30 @@ class TestSettingsThatDoNothingAreRejected:
             default = (tmp_path / "default" / name).read_bytes()
             assert default == (tmp_path / "zero" / name).read_bytes()
         assert b"seed: 0\n" in (tmp_path / "default" / "summary.txt").read_bytes()
+
+
+class TestWarningsOnStderr:
+    def test_manifold_warning_is_printed_by_name(self, tmp_path, capsys):
+        argv = [
+            "run", "--scenario", "speed-switch", "--n-agents", "120",
+            "--half-width", "1.25", "--half-height", "0.75", "--dt", "2.0",
+            "--periodic-matching", "--seed", "6", "--out", str(tmp_path / "out"),
+        ]
+        shown = warnings.showwarning
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "swarmphase: warning: ManifoldWarning: no dimension reaches residual 0.1; reporting the maximum tried"
+        ]
+        assert warnings.showwarning is shown
+
+    def test_low_confidence_warning_is_printed_by_name(self, tmp_path, capsys):
+        frames = sim.simulate(sim.scenario_speed_switch(n_agents=10, n_steps=105, seed=3)).unwrapped.copy()
+        # every agent of frame 61 within a few thousandths of their centre
+        frames[60] = frames[60].mean(axis=0) + 1e-3 * np.arange(10)[:, None]
+        traj = tmp_path / "collapse.csv"
+        io_.save_trajectory_csv(traj, frames)
+        assert cli.main(["analyze", "--input", str(traj), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "swarmphase: warning: LowConfidenceMatchWarning: step 60: only 2 of 10 agents matched without conflicts",
+            "swarmphase: warning: LowConfidenceMatchWarning: step 61: only 1 of 10 agents matched without conflicts",
+        ]

@@ -253,3 +253,100 @@ class TestTrajectoryCsvFuzz:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             io_.load_trajectory_csv(path)
+
+
+def per_value_rows(positions):
+    """Reference text of ``save_trajectory_csv``: one ``format_float`` per value."""
+    return "".join(
+        f"{t},{i},{io_.format_float(x)},{io_.format_float(y)}\n"
+        for t, frame in enumerate(positions, start=1)
+        for i, (x, y) in enumerate(frame, start=1)
+    )
+
+
+class TestFrameAtATimeWriters:
+    def test_special_values_print_as_format_float(self, tmp_path):
+        pos = np.array([[[-0.0, 5e-324], [1e300, 3.0]], [[2.0**53, -1e-310], [0.1, -2.5]]])
+        path = tmp_path / "t.csv"
+        io_.save_trajectory_csv(path, pos)
+        assert path.read_text() == per_value_rows(pos)
+        assert path.read_text().splitlines()[:2] == ["1,1,-0,4.9406564584124654e-324", "1,2,1.0000000000000001e+300,3"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(trajectories())
+    def test_trajectory_bytes_match_the_per_value_reference(self, tmp_path_factory, positions):
+        _, rows = saved_rows(tmp_path_factory, positions)
+        assert "\n".join(rows) + "\n" == per_value_rows(positions)
+
+    @settings(max_examples=50, deadline=None)
+    @given(trajectories())
+    def test_correspondence_bytes_match_the_per_row_reference(self, tmp_path_factory, velocities):
+        n = velocities.shape[1]
+        maps = [
+            CorrespondenceMap(
+                step=t + 1,
+                permutation=np.roll(np.arange(n), t),
+                bijective=np.arange(n) % 2 == t % 2,
+                velocities=v,
+                domain_mean_velocity=np.zeros(2),
+                mean_velocity=np.zeros(2),
+            )
+            for t, v in enumerate(velocities)
+        ]
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        io_.save_correspondence_csv(path, maps)
+        expected = ["t,source,target,bijective,vx,vy"] + [
+            f"{m.step},{i + 1},{int(m.permutation[i]) + 1},{int(m.bijective[i])},"
+            f"{io_.format_float(m.velocities[i, 0])},{io_.format_float(m.velocities[i, 1])}"
+            for m in maps
+            for i in range(n)
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+
+class TestLoaderErrorPrecedence:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,0\n1,oops,0\n1,nan,0\n", "line 2: non-numeric field 'oops'"),
+            ("1,0,0\n1,nan,0\n1,oops,0\n", "line 2: non-finite field 'nan'"),
+            ("1,0,0\n1.5,0,0\n1,0\n", "line 2: frame label '1.5' is not an integer"),
+        ],
+        ids=["non-numeric-first", "nan-first", "frame-label-first"],
+    )
+    def test_first_faulty_line_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io_.load_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,0\n1,nan,0,0,0\n", "line 2: expected 3 or 4 fields, found 5"),
+            ("1,0,0\n1,0,0,0\n", "line 2: expected 3 fields, found 4"),
+            ("1,0,0\n1, nan , oops \n", "line 2: non-numeric field 'oops'"),
+            ("1,0,0\n1.5,inf,0\n", "line 2: non-finite field 'inf'"),
+            ("1,1,0,0\n1,1,nan,0\n", "line 2: non-finite field 'nan'"),
+            ("1,1,0,0\n1.5,1,0,0\n", "line 2: frame label '1.5' is not an integer"),
+        ],
+        ids=["count-before-nan", "form-before-values", "numeric-before-finite", "finite-before-label",
+             "finite-before-duplicate", "label-before-duplicate"],
+    )
+    def test_first_fault_in_check_order_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io_.load_trajectory_csv(path)
+
+    def test_early_duplicate_beats_a_later_nan(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,1,0,0\n1, 1.0 ,1,0\n2,1,nan,0\n2,2,0,0\n")
+        with pytest.raises(ValueError, match=r"^line 2: duplicate id '1\.0' in frame 1$"):
+            io_.load_trajectory_csv(path)
+
+    def test_frame_sizes_are_checked_in_order_of_first_appearance(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("2,0,0\n2,1,0\n3,0,0\n1,0,0\n1,1,0\n1,2,0\n")
+        with pytest.raises(ValueError, match="^frame 3: expected 2 agents, found 1$"):
+            io_.load_trajectory_csv(path)

@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from swarmphase import mapping, observables, sim
 
@@ -328,3 +330,117 @@ def test_correspond_folds_coordinates_that_round_onto_the_box_edge():
     source = np.array([[3.95, 1.05], [0.05, 1.9], [0.1, 2.95], [2.0, 2.9], [1.1, 0.1]])
     assert np.any(np.mod(target, box_size) >= box_size)
     assert_bijection_with_exact_velocities(source, target, box_size)
+
+
+def looped_velocities(track, box_size=None):
+    """Per-pair oracle of ``velocities``: KD query, brute-force tie retry,
+    lexsort domain and a greedy ``remaining.pop`` over the leftover sources."""
+    box = None if box_size is None else np.asarray(box_size, dtype=float)
+
+    def disp(deltas):
+        return deltas if box is None else sim.minimum_image(deltas, box[0] / 2.0, box[1] / 2.0)
+
+    n = track.shape[1]
+    maps, messages = [], []
+    for t in range(track.shape[0] - 1):
+        source, target = track[t], track[t + 1]
+        candidates = np.zeros(n, dtype=int)
+        if n > 1:
+            if box is None:
+                dist, idx = cKDTree(target).query(source, k=2)
+            else:
+                tree = cKDTree(sim.into_box(target, box), boxsize=box)
+                dist, idx = tree.query(sim.into_box(source, box), k=2)
+            candidates = idx[:, 0].astype(int)
+            for i in np.flatnonzero(dist[:, 0] == dist[:, 1]):
+                deltas = disp(target - source[i])
+                d2 = np.einsum("ij,ij->i", deltas, deltas)
+                candidates[i] = int(np.flatnonzero(d2 == d2.min())[0])
+        cand_disp = disp(target[candidates] - source)
+        order = np.lexsort((np.arange(n), np.linalg.norm(cand_disp, axis=1), candidates))
+        ranked = candidates[order]
+        mask = np.zeros(n, dtype=bool)
+        mask[order[np.r_[True, ranked[1:] != ranked[:-1]]]] = True
+
+        permutation = np.where(mask, candidates, -1)
+        velocities = np.where(mask[:, None], cand_disp, 0.0)
+        mu1 = velocities[mask].mean(axis=0)
+        remaining = sorted(np.setdiff1d(np.arange(n), candidates[mask]).tolist())
+        for i in np.flatnonzero(~mask):
+            deltas = disp(target[np.asarray(remaining, dtype=int)] - source[i]) - mu1
+            j = remaining.pop(int(np.argmin(np.einsum("ij,ij->i", deltas, deltas))))
+            permutation[i] = j
+            velocities[i] = disp(target[j] - source[i])
+        if mask.sum() < n / 2:
+            messages.append(f"step {t + 1}: only {mask.sum()} of {n} agents matched without conflicts")
+        maps.append((permutation, mask, velocities, mu1, velocities.mean(axis=0)))
+    return maps, messages
+
+
+@st.composite
+def tracks(draw):
+    """(T, N, 2) tracks: free floats, tie-heavy lattices with signed zeros and
+    coincident points, or huge values whose squared distances overflow to inf."""
+    n_frames, n = draw(st.integers(2, 8)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["lattice", "lattice", "free", "huge"]))
+    values = {
+        "lattice": st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+        "free": coordinates,
+        "huge": st.sampled_from([-1e200, -3e199, 0.0, 2e199, 1e200]),
+    }[kind]
+    size = n_frames * n * 2
+    track = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(n_frames, n, 2)
+    return track, draw(st.sampled_from([None, None, (4.0, 3.0)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tracks())
+def test_velocities_match_the_per_pair_loop(case):
+    track, box_size = case
+    half = (None, None) if box_size is None else (box_size[0] / 2.0, box_size[1] / 2.0)
+    ds = sim.TrajectoryDataset(wrapped=track, half_width=half[0], half_height=half[1])
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("always")
+        maps = mapping.velocities(ds, periodic_matching=box_size is not None)
+        expected, messages = looped_velocities(track, box_size)
+    assert [str(w.message) for w in caught if w.category is mapping.LowConfidenceMatchWarning] == messages
+    assert [m.step for m in maps] == list(range(1, track.shape[0]))
+    for m, (permutation, mask, vel, mu1, mean) in zip(maps, expected, strict=True):
+        assert np.array_equal(m.permutation, permutation)
+        assert np.array_equal(m.bijective, mask)
+        assert np.array_equal(m.velocities, vel)
+        assert np.array_equal(m.domain_mean_velocity, mu1)
+        assert np.array_equal(m.mean_velocity, mean)
+        assert np.array_equal(np.signbit(m.domain_mean_velocity), np.signbit(mu1))
+        assert np.array_equal(np.signbit(m.mean_velocity), np.signbit(mean))
+
+
+def test_residual_pass_skips_targets_taken_at_an_earlier_rank():
+    # three sources propose target 0; the two losers share a nearest free
+    # target, and the second must fall back to the other free one
+    source = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
+    target = np.array([[0.0, 0.0], [-0.5, 0.0], [5.0, 0.0]])
+    m = mapping.correspond(source, target)
+    assert list(m.bijective) == [True, False, False]
+    assert list(m.permutation) == [0, 1, 2]
+
+
+def test_all_inf_residual_row_takes_the_lowest_free_target():
+    # squared distances overflow, so every residual option ties at inf
+    source = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    target = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
+    with np.errstate(over="ignore"):
+        m = mapping.correspond(source, target)
+    assert list(m.bijective) == [True, False, False]
+    assert list(m.permutation) == [0, 1, 2]
+
+
+class TestNoAgents:
+    def test_velocities_rejects_an_empty_track_by_agent_count(self):
+        ds = sim.TrajectoryDataset(wrapped=np.zeros((4, 0, 2)))
+        with pytest.raises(ValueError, match="at least 1 agent per frame, found 0"):
+            mapping.velocities(ds)
+
+    def test_correspond_rejects_empty_frames_by_agent_count(self):
+        with pytest.raises(ValueError, match="at least 1 agent per frame, found 0"):
+            mapping.correspond(np.zeros((0, 2)), np.zeros((0, 2)))

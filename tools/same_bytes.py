@@ -1,0 +1,158 @@
+"""Check that this working tree's CLI gives the same results as a git revision.
+
+Usage, from anywhere inside the repository:
+
+    python3 tools/same_bytes.py REV
+
+Exports REV with ``git archive`` into a temporary directory, makes the shared
+inputs with REV's code, then runs the swarmphase CLI from both trees on a
+fixed list of argument sets. For each set it compares the artifact tree byte
+for byte, stdout, stderr (each tree's source path masked as ``<src>``) and
+the exit code, prints one line per set and the differences, and exits 1 if
+anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# every agent of frame 61 within a few thousandths of their centre, so
+# steps 60 and 61 raise LowConfidenceMatchWarning
+MAKE_COLLAPSE = """
+import sys
+import numpy as np
+from swarmphase import io, sim
+frames = sim.simulate(sim.scenario_speed_switch(n_agents=10, n_steps=105, seed=3)).unwrapped.copy()
+frames[60] = frames[60].mean(axis=0) + 1e-3 * np.arange(10)[:, None]
+io.save_trajectory_csv(sys.argv[1], frames)
+"""
+
+SPEED = ["run", "--scenario", "speed-switch"]
+NOISE = ["run", "--scenario", "noise-switch"]
+SPLIT = ["run", "--scenario", "split-rejoin"]
+
+# name -> CLI arguments; "{name}" stands for a shared input file and
+# "--out out" is appended unless the set asks for help
+ARGUMENT_SETS = {
+    "crowd": [*SPEED, "--n-agents", "150", "--n-steps", "150", "--seed", "201"],
+    "long": [*SPEED, "--n-agents", "30", "--n-steps", "600", "--seed", "201"],
+    "tracked-csv": ["analyze", "--input", "{tracked}"],
+    "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
+    "split-rejoin": [*SPLIT, "--n-agents", "60", "--seed", "201"],
+    "split-rejoin-dt1": [*SPLIT, "--n-agents", "100", "--dt", "1.0", "--seed", "201"],
+    "periodic-box": [
+        *SPEED, "--n-agents", "120", "--half-width", "1.25", "--half-height", "0.75",
+        "--dt", "2.0", "--periodic-matching", "--seed", "6",
+    ],
+    "wrapped-dump": [
+        *SPEED, "--n-agents", "40", "--seed", "5",
+        "--no-prefer-unwrapped", "--periodic-matching", "--dump-correspondence",
+    ],
+    "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
+    "simulate": ["simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2"],
+    "isomap": ["isomap", "--input", "{wrapped}"],
+    "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
+    "low-confidence": ["analyze", "--input", "{collapse}"],
+    "fail-one-frame": ["run", "--input", "{one}"],
+    "fail-short": [*SPEED, "--n-steps", "50"],
+    "fail-no-input": ["analyze"],
+    "help": ["run", "--help"],
+}
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev], check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def python(src: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
+    """Shared input files, written by one tree's code so both trees read the same bytes."""
+    dest.mkdir()
+    steps = [
+        [str(perfbench / "workloads.py"), "tracked-csv", "201", str(dest / "tracked"), str(src)],
+        ["-m", "swarmphase.cli", "simulate", "--scenario", "speed-switch", "--n-agents", "40",
+         "--n-steps", "120", "--seed", "3", "--out", str(dest / "sim")],
+        ["-c", MAKE_COLLAPSE, str(dest / "collapse.csv")],
+    ]
+    for args in steps:
+        done = python(src, args, dest)
+        if done.returncode != 0:
+            sys.exit(f"same_bytes: making inputs failed: {' '.join(args[:2])}\n{done.stderr}")
+    (dest / "one.csv").write_text("1,0.0,0.0\n1,1.0,1.0\n")
+    return {
+        "tracked": str(dest / "tracked" / "input.csv"),
+        "wrapped": str(dest / "sim" / "trajectory.csv"),
+        "collapse": str(dest / "collapse.csv"),
+        "one": str(dest / "one.csv"),
+    }
+
+
+def run_set(src: Path, args: list[str], run_dir: Path) -> tuple[dict[str, bytes], str, str, int]:
+    run_dir.mkdir(parents=True)
+    if "--help" not in args:
+        args = [*args, "--out", "out"]
+    done = python(src, ["-m", "swarmphase.cli", *args], run_dir)
+    out = run_dir / "out"
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return files, done.stdout, done.stderr.replace(str(src), "<src>"), done.returncode
+
+
+def compare(name: str, base, change) -> list[str]:
+    """Lines describing how two runs of one argument set differ; empty if they match."""
+    (base_files, *base_streams), (change_files, *change_streams) = base, change
+    report = []
+    differing = sorted(k for k in base_files.keys() | change_files.keys() if base_files.get(k) != change_files.get(k))
+    if differing:
+        report.append(f"  artifacts differ: {', '.join(differing)}")
+    for label, old, new in zip(("stdout", "stderr", "exit code"), base_streams, change_streams):
+        if old == new:
+            continue
+        if label == "exit code":
+            report.append(f"  exit code {old} -> {new}")
+            continue
+        report.append(f"  {label} differs:")
+        diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "base", "change", lineterm="", n=0)
+        report.extend(f"    {line}" for line in diff)
+    return report
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with, e.g. HEAD~")
+    rev = parser.parse_args(argv).rev
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        root = Path(tmp)
+        export(rev, root / "base")
+        trees = {"base": root / "base" / "src", "change": REPO / "src"}
+        inputs = make_inputs(trees["base"], root / "base" / "perfbench", root / "inputs")
+        differing = 0
+        for name, template in ARGUMENT_SETS.items():
+            args = [a.format(**inputs) for a in template]
+            base, change = (run_set(src, args, root / label / name) for label, src in trees.items())
+            report = compare(name, base, change)
+            differing += bool(report)
+            print(f"{'DIFF' if report else 'same'}  {name}: {' '.join(template)} (exit {change[3]})")
+            for line in report:
+                print(line)
+    print(f"same_bytes: {len(ARGUMENT_SETS) - differing} of {len(ARGUMENT_SETS)} argument sets identical to {rev}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
