@@ -68,6 +68,8 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
             elif len(fields) != width:
                 raise ValueError(f"line {line_no}: expected {width} fields, found {len(fields)}")
             try:
+                if "_" in raw:
+                    raise ValueError  # float() reads digit-grouping underscores: '1_0' is 10
                 numbers = list(map(float, fields))
             except ValueError:
                 bad = next(f.strip() for f in fields if not _is_number(f))
@@ -103,7 +105,7 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
 def _is_number(field: str) -> bool:
     try:
         float(field)
-        return True
+        return "_" not in field
     except ValueError:
         return False
 

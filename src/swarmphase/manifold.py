@@ -89,20 +89,26 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
         raise ValueError("k must be at least 1")
 
     distances = squareform(pdist(pts))
-    order = np.argsort(distances, axis=1, kind="stable")
-    rows = np.arange(n)[:, None]
-    ranked = order[order != rows].reshape(n, n - 1)
+    # self sorts first at -1; after it come the other points in rank order,
+    # ties in index order (the diagonal is never read as a weight)
+    np.fill_diagonal(distances, -1.0)
+    ranked = np.argsort(distances, axis=1, kind="stable")[:, 1:]
 
     k_eff = min(k, n - 1)
     while True:
-        adjacency = np.zeros((n, n), dtype=bool)
-        adjacency[rows, ranked[:, :k_eff]] = True
-        adjacency |= adjacency.T
-        # sparse input: csgraph would first copy a dense matrix to float64
-        if connected_components(csr_matrix(adjacency), directed=False)[0] == 1:
+        # row i lists its k_eff nearest; undirected components link i and j
+        # when either row lists the other
+        listed = csr_matrix(
+            (np.ones(n * k_eff, dtype=bool), ranked[:, :k_eff].ravel(), np.arange(0, n * k_eff + 1, k_eff)),
+            shape=(n, n),
+        )
+        if connected_components(listed, directed=False)[0] == 1:
             break
         k_eff += 1
 
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.arange(n)[:, None], ranked[:, :k_eff]] = True
+    adjacency |= adjacency.T
     neighbors = [np.flatnonzero(adjacency[i]) for i in range(n)]
     weights = [distances[i, nbr] for i, nbr in enumerate(neighbors)]
     return NeighborGraph(n_vertices=n, k=k_eff, neighbors=neighbors, weights=weights)
@@ -175,7 +181,7 @@ def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
     coords = np.asarray(embedding, dtype=float)
     if gmat.shape[0] != coords.shape[0]:
         raise ValueError("geodesic matrix and embedding must cover the same points")
-    g = gmat[np.triu_indices(gmat.shape[0], k=1)]
+    g = squareform(gmat, checks=False)
     e = pdist(coords)
     if g.std() == 0.0 or e.std() == 0.0:
         warnings.warn(

@@ -50,20 +50,15 @@ class ObservableSeries:
         return self.coarse.shape[0]
 
 
-def group_speed_series(maps, normalization: float | None = None) -> np.ndarray:
+def group_speed_series(maps) -> np.ndarray:
     """Norm of the group mean velocity per step, normalized by its maximum.
 
-    The default normalization needs the whole series (two passes); passing an
-    explicit ``normalization`` constant instead supports streaming use. An
-    all-zero series is returned as all zeros (with a warning) instead of 0/0.
+    The normalization needs the whole series (two passes). An all-zero
+    series is returned as all zeros (with a warning) instead of 0/0.
     """
     norms = np.array([float(np.linalg.norm(m.mean_velocity)) for m in maps])
     if norms.size == 0:
         raise ValueError("need at least one correspondence step")
-    if normalization is not None:
-        if normalization <= 0:
-            raise ValueError("normalization constant must be positive")
-        return norms / normalization
     peak = norms.max()
     if peak == 0.0:
         warnings.warn("group mean velocity is zero at every step", DegenerateSeriesWarning, stacklevel=2)

@@ -1,16 +1,17 @@
 """Phase segmentation of the coarse observable and manifold labeling.
 
 The time axis is split into contiguous segments by a deterministic 1-D
-two-means classification of the observable values; runs shorter than a
-minimum length are absorbed by the neighboring segment with the closer
-mean. Segments whose means agree within a tolerance share a manifold label,
-and each labeled segment can be characterized by its own Isomap run.
+two-means classification of the observable values; a run shorter than a
+minimum length is absorbed together with its neighboring runs. Segments
+whose means agree within a tolerance share a manifold label, and each
+labeled segment can be characterized by its own Isomap run.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,24 +87,13 @@ def two_means_split(values: np.ndarray) -> tuple[float | None, np.ndarray]:
     return 0.5 * (c0 + c1), classes
 
 
-def _runs(classes: np.ndarray) -> list[list[int]]:
-    # [start, end, class] with 0-based inclusive bounds
-    runs = []
-    start = 0
-    for i in range(1, classes.size):
-        if classes[i] != classes[i - 1]:
-            runs.append([start, i - 1, int(classes[i - 1])])
-            start = i
-    runs.append([start, classes.size - 1, int(classes[-1])])
-    return runs
-
-
 def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentation:
     """Partition a series into contiguous segments of like values.
 
-    Runs shorter than ``min_length`` are merged (shortest first, leftmost on
-    ties) into the neighboring run whose mean is closer; adjacent runs of
-    the same class then coalesce. The result tiles the series exactly.
+    The runs of equal two-means class alternate, so both neighbors of a run
+    share a class. A run shorter than ``min_length`` (shortest first,
+    leftmost on ties) therefore takes that class and joins its neighbors
+    (one at either end of the series) into one run. The result tiles the series exactly.
     """
     v = np.asarray(values, dtype=float)
     if min_length < 1:
@@ -112,32 +102,19 @@ def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentatio
         raise ValueError(f"series of length {v.size} is too short for min_length {min_length}")
 
     split, classes = two_means_split(v)
-    if split is None:
-        seg = Segment(start=1, end=v.size, mean_value=float(v.mean()))
-        return PhaseSegmentation(segments=[seg], min_length=min_length, split_value=None)
-
-    runs = _runs(classes)
-    while len(runs) > 1:
-        lengths = [end - start + 1 for start, end, _ in runs]
-        i = int(np.argmin(lengths))
+    bounds = [0, *(np.flatnonzero(np.diff(classes)) + 1).tolist(), v.size]
+    lengths = [end - start for start, end in zip(bounds, bounds[1:])]
+    while len(lengths) > 1:
+        i = lengths.index(min(lengths))
         if lengths[i] >= min_length:
             break
-        start, end, _ = runs[i]
-        run_mean = v[start : end + 1].mean()
-        choices = []
-        if i > 0:
-            s, e, c = runs[i - 1]
-            choices.append((abs(v[s : e + 1].mean() - run_mean), c))
-        if i < len(runs) - 1:
-            s, e, c = runs[i + 1]
-            choices.append((abs(v[s : e + 1].mean() - run_mean), c))
-        # min with a key keeps the left neighbor on exact ties
-        classes[start : end + 1] = min(choices, key=lambda c: c[0])[1]
-        runs = _runs(classes)
+        lo = max(i - 1, 0)
+        lengths[lo : i + 2] = [sum(lengths[lo : i + 2])]
 
+    bounds = [0, *accumulate(lengths)]
     segments = [
-        Segment(start=s + 1, end=e + 1, mean_value=float(v[s : e + 1].mean()))
-        for s, e, _ in runs
+        Segment(start=start + 1, end=end, mean_value=float(v[start:end].mean()))
+        for start, end in zip(bounds, bounds[1:])
     ]
     return PhaseSegmentation(segments=segments, min_length=min_length, split_value=split)
 

@@ -225,7 +225,7 @@ class TestTrajectoryCsvFuzz:
     @given(trajectories(), st.data())
     def test_bad_line_is_rejected_by_number(self, tmp_path_factory, positions, data):
         path, rows = saved_rows(tmp_path_factory, positions)
-        kind = data.draw(st.sampled_from(["nan", "frame", "duplicate", "fields"]))
+        kind = data.draw(st.sampled_from(["nan", "frame", "duplicate", "fields", "underscore"]))
         k = data.draw(st.integers(0, len(rows) - 1))
         fields = rows[k].split(",")
         if kind == "duplicate":
@@ -241,6 +241,9 @@ class TestTrajectoryCsvFuzz:
             elif kind == "frame":
                 fields[0] = "1.5"
                 message = f"line {k + 1}: frame label '1.5' is not an integer"
+            elif kind == "underscore":
+                fields[data.draw(st.sampled_from([0, 2, 3]))] = "1_0"
+                message = f"line {k + 1}: non-numeric field '1_0'"
             else:
                 count = data.draw(st.sampled_from([1, 2, 5, 6]))
                 fields = (fields * 2)[:count]
@@ -334,6 +337,22 @@ class TestLoaderErrorPrecedence:
              "finite-before-duplicate", "label-before-duplicate"],
     )
     def test_first_fault_in_check_order_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io_.load_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,0\n2,0,0\n1_0,0,0\n", "line 3: non-numeric field '1_0'"),
+            ("1,1,0,0\n1,1_0,0,0\n", "line 2: non-numeric field '1_0'"),
+            ("1,0,0\n1,nan, 2_5.0 \n", "line 2: non-numeric field '2_5.0'"),
+        ],
+        ids=["frame-label", "id", "underscore-before-nan"],
+    )
+    def test_digit_grouping_underscores_are_non_numeric(self, tmp_path, text, message):
+        # float() reads '1_0' as 10, which would load the last line as frame 10
         path = tmp_path / "t.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

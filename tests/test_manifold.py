@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist, squareform
 
 from swarmphase import manifold
 
@@ -281,3 +286,52 @@ def test_configuration_matrix_shape():
     mat = manifold.configuration_matrix(pos)
     assert mat.shape == (2, 12)
     assert np.array_equal(mat[0, :2], pos[0, 0])
+
+
+def dense_knn_graph(points, k):
+    """Reference graph: an n x n bool adjacency rebuilt for every k tried."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    distances = squareform(pdist(pts))
+    order = np.argsort(distances, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    ranked = order[order != rows].reshape(n, n - 1)
+    k_eff = min(k, n - 1)
+    while True:
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[rows, ranked[:, :k_eff]] = True
+        adjacency |= adjacency.T
+        if connected_components(csr_matrix(adjacency), directed=False)[0] == 1:
+            break
+        k_eff += 1
+    neighbors = [np.flatnonzero(adjacency[i]) for i in range(n)]
+    weights = [distances[i, nbr] for i, nbr in enumerate(neighbors)]
+    return k_eff, neighbors, weights
+
+
+@st.composite
+def clustered_lattice_points(draw):
+    """Shuffled clusters of small-lattice points: distance ties, duplicates, and k that must grow."""
+    dim = draw(st.integers(1, 3))
+    cell = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    clusters = [
+        np.array(draw(st.lists(cell, min_size=1, max_size=10)), dtype=float) + 100.0 * c
+        for c in range(draw(st.integers(1, 4)))
+    ]
+    pts = np.vstack(clusters) * draw(st.sampled_from([1.0, 0.1, 3e5]))
+    assume(pts.shape[0] >= 2)
+    order = draw(st.permutations(range(pts.shape[0])))
+    return pts[order], draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_lattice_points())
+def test_knn_graph_matches_dense_per_k_reference(case):
+    pts, k = case
+    graph = manifold.knn_graph(pts, k)
+    k_want, neighbors, weights = dense_knn_graph(pts, k)
+    assert graph.k == k_want
+    for got, want in zip(graph.neighbors, neighbors, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(graph.weights, weights, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

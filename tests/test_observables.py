@@ -40,12 +40,6 @@ class TestGroupSpeed:
             out = observables.group_speed_series(maps)
         assert np.array_equal(out, [0.0])
 
-    def test_explicit_normalization_constant(self):
-        maps = [fake_map(np.tile([v, 0.0], (3, 1))) for v in (0.05, 0.1)]
-        assert np.allclose(observables.group_speed_series(maps, normalization=0.2), [0.25, 0.5])
-        with pytest.raises(ValueError):
-            observables.group_speed_series(maps, normalization=0.0)
-
 
 class TestPolarization:
     def test_aligned_headings(self):

@@ -137,3 +137,73 @@ def test_speed_switch_scenario_structure():
     assert abs(out.segments[2].start - 100) <= 5
     mid = out.segments[1].mean_value
     assert mid > out.segments[0].mean_value and mid > out.segments[2].mean_value
+
+
+def runs_of(classes):
+    # [start, end, class] with 0-based inclusive bounds
+    runs = []
+    start = 0
+    for i in range(1, classes.size):
+        if classes[i] != classes[i - 1]:
+            runs.append([start, i - 1, int(classes[i - 1])])
+            start = i
+    runs.append([start, classes.size - 1, int(classes[-1])])
+    return runs
+
+
+def closer_mean_segmentation(values, min_length):
+    """Reference merge: a short run takes the class of the neighbor with the closer mean."""
+    v = np.asarray(values, dtype=float)
+    split, classes = segment.two_means_split(v)
+    if split is None:
+        return [(1, v.size, float(v.mean()))], None
+    runs = runs_of(classes)
+    while len(runs) > 1:
+        lengths = [end - start + 1 for start, end, _ in runs]
+        i = int(np.argmin(lengths))
+        if lengths[i] >= min_length:
+            break
+        start, end, _ = runs[i]
+        run_mean = v[start : end + 1].mean()
+        choices = []
+        if i > 0:
+            s, e, c = runs[i - 1]
+            choices.append((abs(v[s : e + 1].mean() - run_mean), c))
+        if i < len(runs) - 1:
+            s, e, c = runs[i + 1]
+            choices.append((abs(v[s : e + 1].mean() - run_mean), c))
+        classes[start : end + 1] = min(choices, key=lambda c: c[0])[1]
+        runs = runs_of(classes)
+    return [(s + 1, e + 1, float(v[s : e + 1].mean())) for s, e, _ in runs], split
+
+
+@st.composite
+def series_and_min_length(draw):
+    """Random, few-level, blocky and constant series with any admissible ``min_length``."""
+    size = draw(st.integers(2, 120))
+    kind = draw(st.sampled_from(["random", "levels", "blocks", "constant"]))
+    level = st.floats(-1e3, 1e3, allow_nan=False)
+    if kind == "random":
+        values = draw(st.lists(level, min_size=size, max_size=size))
+    elif kind == "levels":
+        levels = draw(st.lists(level, min_size=1, max_size=3))
+        values = draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+    elif kind == "blocks":
+        values = []
+        while len(values) < size:
+            values += [draw(level)] * draw(st.integers(1, 30))
+        values = values[:size]
+    else:
+        values = [draw(level)] * size
+    return np.array(values), draw(st.integers(1, size // 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(series_and_min_length())
+def test_merge_by_length_matches_closer_mean_reference(case):
+    values, min_length = case
+    out = segment.segment_series(values, min_length)
+    want, split = closer_mean_segmentation(values, min_length)
+    assert [(s.start, s.end) for s in out.segments] == [(s, e) for s, e, _ in want]
+    assert [s.mean_value.hex() for s in out.segments] == [m.hex() for _, _, m in want]
+    assert (None if out.split_value is None else out.split_value.hex()) == (None if split is None else split.hex())

@@ -47,6 +47,8 @@ ARGUMENT_SETS = {
     "crowd": [*SPEED, "--n-agents", "150", "--n-steps", "150", "--seed", "201"],
     "long": [*SPEED, "--n-agents", "30", "--n-steps", "600", "--seed", "201"],
     "tracked-csv": ["analyze", "--input", "{tracked}"],
+    # k=1 leaves the Isomap graphs disconnected, so knn_graph must grow k
+    "k-growth": ["analyze", "--input", "{tracked}", "--k", "1"],
     "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
     "split-rejoin": [*SPLIT, "--n-agents", "60", "--seed", "201"],
     "split-rejoin-dt1": [*SPLIT, "--n-agents", "100", "--dt", "1.0", "--seed", "201"],
