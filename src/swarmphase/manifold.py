@@ -5,7 +5,8 @@ space. A symmetrized k-nearest-neighbor graph approximates the manifold,
 graph geodesics approximate intrinsic distances, classical multidimensional
 scaling embeds them, and the residual variance curve over target dimensions
 yields an intrinsic-dimension estimate (first dimension whose residual drops
-below a threshold).
+below a threshold). Nothing is logged: a rise in the residual curve shows in
+the returned ``residual_variances`` and in ``residual_*.csv``.
 
 Graph connectivity and Dijkstra shortest paths come from
 ``scipy.sparse.csgraph``; MDS uses a dense symmetric eigendecomposition.
@@ -13,7 +14,6 @@ Graph connectivity and Dijkstra shortest paths come from
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +21,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
-
-logger = logging.getLogger(__name__)
 
 
 class ManifoldWarning(UserWarning):
@@ -49,19 +47,15 @@ class EmbeddingReport:
 
     ``embeddings[d-1]`` has shape ``(n, d)``; successive embeddings share
     their leading coordinate axes. ``dimension`` is the first ``d`` whose
-    residual variance is at or below ``threshold``.
+    residual variance is at or below the threshold. ``residual_variances``
+    is the whole curve, rises included; no log record reports them.
     """
 
     geodesics: np.ndarray
     embeddings: list[np.ndarray]
     residual_variances: np.ndarray
     dimension: int
-    threshold: float
     k: int
-
-    @property
-    def n_points(self) -> int:
-        return self.geodesics.shape[0]
 
 
 def configuration_matrix(positions: np.ndarray) -> np.ndarray:
@@ -106,11 +100,12 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
             break
         k_eff += 1
 
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[np.arange(n)[:, None], ranked[:, :k_eff]] = True
-    adjacency |= adjacency.T
-    neighbors = [np.flatnonzero(adjacency[i]) for i in range(n)]
-    weights = [distances[i, nbr] for i, nbr in enumerate(neighbors)]
+    # sorted_indices: the sum need not list a row's neighbours in index order
+    edges = (listed + listed.T).sorted_indices()
+    cols = edges.indices.astype(np.intp)
+    rows = np.repeat(np.arange(n), np.diff(edges.indptr))
+    neighbors = np.split(cols, edges.indptr[1:-1])
+    weights = np.split(distances[rows, cols], edges.indptr[1:-1])
     return NeighborGraph(n_vertices=n, k=k_eff, neighbors=neighbors, weights=weights)
 
 
@@ -128,9 +123,7 @@ def geodesic_distances(graph: NeighborGraph) -> np.ndarray:
         raise ValueError("graph is disconnected; geodesic distances undefined")
     # Forward and reverse path sums can differ in the last bit; keep the
     # smaller, which symmetrizes the matrix exactly.
-    out = np.minimum(out, out.T)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return np.minimum(out, out.T)
 
 
 def _mds_spectrum(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +133,8 @@ def _mds_spectrum(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = -0.5 * (d2 - row - col + d2.mean())
     gram = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(gram)
-    idx = np.argsort(evals)[::-1]
-    return evals[idx], evecs[:, idx]
+    # eigh returns ascending eigenvalues; reversed views give descending order
+    return evals[::-1], evecs[:, ::-1]
 
 
 def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
@@ -216,8 +209,8 @@ def isomap(points: np.ndarray, k: int = 7, d_max: int = 10, threshold: float = 0
     """Full Isomap pass: neighbor graph, geodesics, embeddings, dimension.
 
     ``d_max`` is capped at ``n - 1``. Residual variance should be
-    non-increasing in the embedding dimension; violations beyond 1e-9 are
-    logged (the spectral tail can be degenerate) but are not fatal.
+    non-increasing in the embedding dimension, but the degenerate spectral
+    tail can make it rise; a rise is returned as is and not reported.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -235,19 +228,10 @@ def isomap(points: np.ndarray, k: int = 7, d_max: int = 10, threshold: float = 0
     full = evecs[:, :cap] * np.sqrt(np.clip(evals[:cap], 0.0, None))
     embeddings = [full[:, :d] for d in range(1, cap + 1)]
     residuals = np.array([residual_variance(geo, emb) for emb in embeddings])
-
-    # the curve should be non-increasing; the degenerate spectral tail can
-    # fluctuate, so violations are logged rather than raised
-    rises = np.flatnonzero(np.diff(residuals) > 1e-9)
-    if rises.size:
-        dims = ", ".join(str(int(d) + 2) for d in rises)
-        logger.info("residual variance increased at dimension(s) %s", dims)
-
     return EmbeddingReport(
         geodesics=geo,
         embeddings=embeddings,
         residual_variances=residuals,
         dimension=estimate_dimension(residuals, threshold),
-        threshold=threshold,
         k=graph.k,
     )

@@ -92,8 +92,6 @@ def nearest_neighbor_map(
 def _nearest(source: np.ndarray, target: np.ndarray, box: np.ndarray | None) -> np.ndarray:
     """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, ``(P, N)`` out."""
     n_pairs, n = source.shape[:2]
-    if n == 1:
-        return np.zeros((n_pairs, 1), dtype=int)
     tree_source, tree_target = (source, target) if box is None else (into_box(source, box), into_box(target, box))
     candidates = np.empty((n_pairs, n), dtype=int)
     tied = np.empty((n_pairs, n), dtype=bool)

@@ -335,3 +335,43 @@ def test_knn_graph_matches_dense_per_k_reference(case):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for got, want in zip(graph.weights, weights, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def argsort_mds_spectrum(distances):
+    """Reference spectrum: eigh's pairs gathered into descending order through an argsort."""
+    d2 = np.asarray(distances, dtype=float) ** 2
+    row = d2.mean(axis=1, keepdims=True)
+    col = d2.mean(axis=0, keepdims=True)
+    gram = -0.5 * (d2 - row - col + d2.mean())
+    gram = 0.5 * (gram + gram.T)
+    evals, evecs = np.linalg.eigh(gram)
+    idx = np.argsort(evals)[::-1]
+    return evals[idx], evecs[:, idx]
+
+
+@st.composite
+def tie_heavy_distances(draw):
+    """Distance matrices with repeated eigenvalues: duplicated configurations, integer lattices, all zeros."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["duplicates", "lattice", "zeros"]))
+    if kind == "zeros":
+        return np.zeros((n, n))
+    dim = draw(st.integers(1, 4))
+    if kind == "lattice":
+        cell = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+        pts = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+    else:
+        coord = st.floats(-5.0, 5.0, allow_nan=False)
+        distinct = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
+        copies = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+        pts = np.array(distinct, dtype=float)[copies]
+    return squareform(pdist(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_distances())
+def test_mds_spectrum_matches_argsort_gather(distances):
+    evals, evecs = manifold._mds_spectrum(distances)
+    want_evals, want_evecs = argsort_mds_spectrum(distances)
+    assert np.array_equal(evals, want_evals)
+    assert np.array_equal(evecs, want_evecs)

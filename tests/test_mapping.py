@@ -64,6 +64,18 @@ class TestNearestNeighborMap:
         b = np.array([[7.9, 0.0], [0.1, 0.0]])  # 0.2 away through the wrap
         assert list(mapping.nearest_neighbor_map(a, b, box_size=box)) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "source, target, box",
+        [
+            ([[0.0, 0.0]], [[5.0, 5.0]], None),
+            ([[1e200, -1e200]], [[-1e200, 1e200]], None),  # the tree's distance overflows to inf
+            ([[0.5, 0.5]], [[3.9, 2.9]], (4.0, 3.0)),
+        ],
+    )
+    def test_one_agent_maps_to_itself(self, source, target, box):
+        got = mapping.nearest_neighbor_map(np.array(source), np.array(target), box_size=box)
+        assert got.tolist() == [0]
+
 
 class TestBijectiveDomain:
     def test_no_conflicts_keeps_everyone(self):

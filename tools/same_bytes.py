@@ -49,6 +49,8 @@ ARGUMENT_SETS = {
     "tracked-csv": ["analyze", "--input", "{tracked}"],
     # k=1 leaves the Isomap graphs disconnected, so knn_graph must grow k
     "k-growth": ["analyze", "--input", "{tracked}", "--k", "1"],
+    # 1-9 point segments: 3-point Isomaps with degenerate spectra, SegmentationWarnings
+    "tiny-segments": ["analyze", "--input", "{tracked}", "--min-len", "1"],
     "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
     "split-rejoin": [*SPLIT, "--n-agents", "60", "--seed", "201"],
     "split-rejoin-dt1": [*SPLIT, "--n-agents", "100", "--dt", "1.0", "--seed", "201"],
@@ -65,6 +67,8 @@ ARGUMENT_SETS = {
     "isomap": ["isomap", "--input", "{wrapped}"],
     "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
     "low-confidence": ["analyze", "--input", "{collapse}"],
+    # matches N=1, then exits 1 at observables
+    "one-agent": ["analyze", "--input", "{agent}"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
@@ -90,6 +94,8 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         [str(perfbench / "workloads.py"), "tracked-csv", "201", str(dest / "tracked"), str(src)],
         ["-m", "swarmphase.cli", "simulate", "--scenario", "speed-switch", "--n-agents", "40",
          "--n-steps", "120", "--seed", "3", "--out", str(dest / "sim")],
+        ["-m", "swarmphase.cli", "simulate", "--scenario", "speed-switch", "--n-agents", "1",
+         "--n-steps", "120", "--seed", "3", "--out", str(dest / "agent")],
         ["-c", MAKE_COLLAPSE, str(dest / "collapse.csv")],
     ]
     for args in steps:
@@ -101,6 +107,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "tracked": str(dest / "tracked" / "input.csv"),
         "wrapped": str(dest / "sim" / "trajectory.csv"),
         "collapse": str(dest / "collapse.csv"),
+        "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
 
