@@ -21,13 +21,14 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _frame_rows(n_agents: int, fields: str) -> str:
-    """Format string of one frame: a row ``{0},i,<fields>`` for each agent ``i``.
+def _rows(n_rows: int, fields: str, prefix: str = "") -> str:
+    """Format string of a table: a row ``<prefix>i,<fields>`` for each ``i`` from 1.
 
-    ``str.format`` fills in the frame label, and then ``%`` the row values;
-    ``%.17g`` prints a float as ``format_float`` does.
+    ``%`` fills in the row values; ``%.17g`` prints a float as ``format_float``
+    does. The frame writers pass the prefix ``{0},``, which ``str.format``
+    fills in with the frame label first.
     """
-    return "".join(f"{{0}},{i},{fields}\n" for i in range(1, n_agents + 1))
+    return "".join(f"{prefix}{i},{fields}\n" for i in range(1, n_rows + 1))
 
 
 def save_trajectory_csv(path, positions: np.ndarray) -> None:
@@ -35,7 +36,7 @@ def save_trajectory_csv(path, positions: np.ndarray) -> None:
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 3 or pos.shape[2] != 2:
         raise ValueError("positions must have shape (T, N, 2)")
-    rows = _frame_rows(pos.shape[1], "%.17g,%.17g")
+    rows = _rows(pos.shape[1], "%.17g,%.17g", "{0},")
     with open(path, "w") as out:
         for t, frame in enumerate(pos, start=1):
             out.write(rows.format(t) % tuple(frame.ravel().tolist()))
@@ -110,14 +111,15 @@ def _is_number(field: str) -> bool:
         return False
 
 
+def _write_table(path, header: str, fields: str, table: np.ndarray) -> None:
+    rows = _rows(table.shape[0], fields)
+    Path(path).write_text(header + "\n" + rows % tuple(table.ravel().tolist()))
+
+
 def save_observables_csv(path, series) -> None:
-    lines = ["t,speed,P,C,X"]
-    for t in range(series.n_steps):
-        lines.append(
-            f"{t + 1},{format_float(series.speed[t])},{format_float(series.polarization[t])},"
-            f"{int(series.components[t])},{format_float(series.coarse[t])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # %d prints the component count as int() does
+    table = np.column_stack((series.speed, series.polarization, series.components, series.coarse))
+    _write_table(path, "t,speed,P,C,X", "%.17g,%.17g,%d,%.17g", table)
 
 
 def save_segments_csv(path, segmentation, dimensions=None) -> None:
@@ -132,10 +134,7 @@ def save_segments_csv(path, segmentation, dimensions=None) -> None:
 
 
 def save_residual_csv(path, residuals: np.ndarray) -> None:
-    lines = ["d,residual_variance"]
-    for d, r in enumerate(np.asarray(residuals, dtype=float), start=1):
-        lines.append(f"{d},{format_float(r)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, "d,residual_variance", "%.17g", np.asarray(residuals, dtype=float)[:, None])
 
 
 def save_embedding_csv(path, coordinates: np.ndarray) -> None:
@@ -143,17 +142,14 @@ def save_embedding_csv(path, coordinates: np.ndarray) -> None:
     if coords.ndim != 2:
         raise ValueError("coordinates must be a 2-D array")
     header = "index," + ",".join(f"x{i + 1}" for i in range(coords.shape[1]))
-    lines = [header]
-    for idx, row in enumerate(coords, start=1):
-        lines.append(f"{idx}," + ",".join(format_float(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, header, ",".join(["%.17g"] * coords.shape[1]), coords)
 
 
 def save_correspondence_csv(path, maps) -> None:
     """Debug dump of per-step permutations and velocities."""
     with open(path, "w") as out:
         out.write("t,source,target,bijective,vx,vy\n")
-        rows = _frame_rows(maps[0].n_agents if maps else 0, "%d,%d,%.17g,%.17g")
+        rows = _rows(maps[0].n_agents if maps else 0, "%d,%d,%.17g,%.17g", "{0},")
         for m in maps:
             # one float table per step; %d prints the integral target and flag columns
             table = np.column_stack((m.permutation + 1, m.bijective, m.velocities))

@@ -144,16 +144,12 @@ def _residual_match(
     if not counts.any():
         return
     width = counts.max()
-    frame_starts = np.cumsum(counts) - counts
-
-    def by_rank(frames, agents):
-        table = np.zeros((counts.size, width), dtype=int)
-        table[frames, np.arange(frames.size) - np.repeat(frame_starts, counts)] = agents
-        return table
-
     taken = np.zeros(leftover.shape, dtype=bool)
     taken[np.nonzero(~leftover)[0], permutation[~leftover]] = True
-    sources, free = by_rank(*np.nonzero(leftover)), by_rank(*np.nonzero(~taken))
+    # a stable sort lists each frame's leftover sources, and its equally many
+    # free targets, first and in index order; the padding columns are closed
+    sources = np.argsort(~leftover, axis=1, kind="stable")[:, :width]
+    free = np.argsort(taken, axis=1, kind="stable")[:, :width]
     closed = np.arange(width) >= counts[:, None]
     for r in range(width):
         frames = np.flatnonzero(counts > r)

@@ -7,12 +7,11 @@ summary contains no timestamps.
 
 from __future__ import annotations
 
+import math
 import os
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import io as io_
 from .manifold import configuration_matrix, isomap
@@ -106,6 +105,13 @@ class PipelineConfig:
                 # not ``value in (None, False)``: seed 0 == False would pass
                 if value is not None and value is not False:
                     raise ConfigError(f"{key}: applies only to a simulated scenario, not to an input file")
+        # NaN compares false, so it slips past the range checks above
+        for key, (f, value_type) in SETTINGS.items():
+            value = getattr(self, f.name)
+            if value_type is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed: must be non-negative")
 
     def resolved_seed(self) -> int:
         return 0 if self.seed is None else self.seed
@@ -173,12 +179,7 @@ def config_from_sources(
 @dataclass
 class PipelineResult:
     dataset: object
-    maps: list
-    series: object
-    delta: np.ndarray
     segmentation: object
-    segment_reports: list
-    full_report: object
     artifacts: dict[str, Path]
     summary: str
 
@@ -325,17 +326,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     ) + "\n"
     run.write("summary", "summary.txt", Path.write_text, summary)
 
-    return PipelineResult(
-        dataset=dataset,
-        maps=maps,
-        series=series,
-        delta=delta,
-        segmentation=segmentation,
-        segment_reports=segment_reports,
-        full_report=full_report,
-        artifacts=run.artifacts,
-        summary=summary,
-    )
+    return PipelineResult(dataset=dataset, segmentation=segmentation, artifacts=run.artifacts, summary=summary)
 
 
 def run_simulate(config: PipelineConfig) -> dict[str, Path]:

@@ -140,12 +140,7 @@ def label_manifolds(segmentation: PhaseSegmentation, tolerance: float = 0.1) -> 
             representatives.append(seg.mean_value)
             label = len(representatives)
         labeled.append(replace(seg, label=label))
-    return PhaseSegmentation(
-        segments=labeled,
-        min_length=segmentation.min_length,
-        split_value=segmentation.split_value,
-        merge_tolerance=tolerance,
-    )
+    return replace(segmentation, segments=labeled, merge_tolerance=tolerance)
 
 
 def per_segment_isomap(

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -337,6 +338,52 @@ class TestSettingsThatDoNothingAreRejected:
             default = (tmp_path / "default" / name).read_bytes()
             assert default == (tmp_path / "zero" / name).read_bytes()
         assert b"seed: 0\n" in (tmp_path / "default" / "summary.txt").read_bytes()
+
+
+class TestNonFiniteSettingsAreRejected:
+    SCENARIO = ["run", "--scenario", "speed-switch", "--n-agents", "12", "--n-steps", "110"]
+
+    @pytest.mark.parametrize(
+        "key,raw,message",
+        [
+            ("xi1", "nan", "xi1: must be finite"),
+            ("xi2", "nan", "xi2: must be finite"),
+            ("merge_tol", "nan", "merge_tol: must be finite"),
+            ("merge_tol", "inf", "merge_tol: must be finite"),
+            ("half_width", "nan", "half_width: must be finite"),
+            ("half_height", "inf", "half_height: must be finite"),
+            ("dt", "inf", "dt: must be finite"),
+            ("seed", "-1", "seed: must be non-negative"),
+            # rejected by the range checks before, with the same messages
+            ("threshold", "nan", "threshold: must lie in (0, 1)"),
+            ("xi2", "inf", "xi1, xi2: weights must sum to at most 1"),
+            ("dt", "-inf", "dt: must be positive"),
+        ],
+    )
+    def test_rejected_by_key_name(self, tmp_path, capsys, key, raw, message):
+        config = pipeline.config_from_sources({"scenario": "speed-switch", key: raw})
+        with pytest.raises(pipeline.ConfigError, match=f"^{re.escape(message)}$"):
+            config.validate()
+        out_dir = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        assert cli.main([*self.SCENARIO, f"{flag}={raw}", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"swarmphase: error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_config_file_nan_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = speed-switch\nn_agents = 12\nn_steps = 110\nxi1 = nan\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "swarmphase: error: xi1: must be finite\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_input_keeps_the_scenario_only_message(self, tmp_path, capsys):
+        argv = ["analyze", "--input", "x.csv", "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "swarmphase: error: seed: applies only to a simulated scenario, not to an input file\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestWarningsOnStderr:

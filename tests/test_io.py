@@ -307,6 +307,102 @@ class TestFrameAtATimeWriters:
         assert path.read_text() == "\n".join(expected) + "\n"
 
 
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def observable_series(speed, polarization, components, coarse):
+    return observables.ObservableSeries(
+        speed=np.array(speed, dtype=float),
+        polarization=np.array(polarization, dtype=float),
+        components=np.array(components, dtype=int),
+        coarse=np.array(coarse, dtype=float),
+        weight_speed=1 / 3,
+        weight_polarization=1 / 3,
+        epsilon=1.0,
+        n_agents=3,
+    )
+
+
+def per_value_observables(series):
+    """Reference text of ``save_observables_csv``: one ``format_float`` per value."""
+    ff = io_.format_float
+    columns = zip(series.speed, series.polarization, series.components, series.coarse)
+    rows = enumerate(columns, start=1)
+    lines = ["t,speed,P,C,X"] + [f"{t},{ff(s)},{ff(p)},{int(c)},{ff(x)}" for t, (s, p, c, x) in rows]
+    return "\n".join(lines) + "\n"
+
+
+def per_value_residuals(residuals):
+    lines = ["d,residual_variance"] + [f"{d},{io_.format_float(r)}" for d, r in enumerate(residuals, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def per_value_embedding(coords):
+    lines = ["index," + ",".join(f"x{i + 1}" for i in range(coords.shape[1]))]
+    lines += [f"{idx}," + ",".join(io_.format_float(c) for c in row) for idx, row in enumerate(coords, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def observable_tables(draw):
+    """Series of 0-6 steps; any float in the float columns, NaN and infinities included."""
+    n = draw(st.integers(0, 6))
+    floats = st.lists(any_floats, min_size=n, max_size=n)
+    components = st.lists(st.integers(0, 200), min_size=n, max_size=n)
+    return observable_series(draw(floats), draw(floats), draw(components), draw(floats))
+
+
+@st.composite
+def embeddings(draw):
+    """``(n, d)`` coordinates with n in 0-5 and d in 0-4, any float included."""
+    shape = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    size = shape[0] * shape[1]
+    return np.array(draw(st.lists(any_floats, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+class TestTableWriters:
+    def test_special_values_print_as_format_float(self, tmp_path):
+        values = [-0.0, 5e-324, 1e300, 2.0**53, float("nan"), float("inf"), -float("inf"), 0.1]
+        series = observable_series(values, values[::-1], [0, 1, 2, 7, 60, 150, 2**53, 3], values[3:] + values[:3])
+        io_.save_observables_csv(tmp_path / "o.csv", series)
+        assert (tmp_path / "o.csv").read_text() == per_value_observables(series)
+        assert (tmp_path / "o.csv").read_text().splitlines()[1] == "1,-0,0.10000000000000001,0,9007199254740992"
+        io_.save_residual_csv(tmp_path / "r.csv", np.array(values))
+        assert (tmp_path / "r.csv").read_text() == per_value_residuals(values)
+        coords = np.array(values).reshape(2, 4)
+        io_.save_embedding_csv(tmp_path / "e.csv", coords)
+        assert (tmp_path / "e.csv").read_text() == per_value_embedding(coords)
+
+    def test_empty_tables(self, tmp_path):
+        io_.save_residual_csv(tmp_path / "r.csv", np.array([]))
+        assert (tmp_path / "r.csv").read_text() == "d,residual_variance\n"
+        io_.save_embedding_csv(tmp_path / "e.csv", np.zeros((3, 0)))
+        assert (tmp_path / "e.csv").read_text() == "index,\n1,\n2,\n3,\n" == per_value_embedding(np.zeros((3, 0)))
+        io_.save_observables_csv(tmp_path / "o.csv", observable_series([], [], [], []))
+        assert (tmp_path / "o.csv").read_text() == "t,speed,P,C,X\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(observable_tables())
+    def test_observables_bytes_match_the_per_value_reference(self, tmp_path_factory, series):
+        path = tmp_path_factory.mktemp("csv") / "o.csv"
+        io_.save_observables_csv(path, series)
+        assert path.read_text() == per_value_observables(series)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(any_floats, max_size=12))
+    def test_residual_bytes_match_the_per_value_reference(self, tmp_path_factory, residuals):
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        io_.save_residual_csv(path, np.array(residuals, dtype=float))
+        assert path.read_text() == per_value_residuals(residuals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(embeddings())
+    def test_embedding_bytes_match_the_per_value_reference(self, tmp_path_factory, coords):
+        path = tmp_path_factory.mktemp("csv") / "e.csv"
+        io_.save_embedding_csv(path, coords)
+        assert path.read_text() == per_value_embedding(coords)
+
+
 class TestLoaderErrorPrecedence:
     @pytest.mark.parametrize(
         "text, message",

@@ -427,6 +427,25 @@ def test_velocities_match_the_per_pair_loop(case):
         assert np.array_equal(np.signbit(m.mean_velocity), np.signbit(mean))
 
 
+@st.composite
+def crowded_tracks(draw):
+    """(T, N, 2) tracks with N > 16 agents on a coarse lattice, so many agents
+    coincide and many proposals collide; numpy sorts rows this long with an
+    algorithm that is not stable unless asked."""
+    n_frames, n = draw(st.integers(2, 4)), draw(st.integers(17, 60))
+    spacing = draw(st.sampled_from([[-1.0, -0.0, 0.0, 1.0], [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]]))
+    size = n_frames * n * 2
+    track = np.array(draw(st.lists(st.sampled_from(spacing), min_size=size, max_size=size))).reshape(n_frames, n, 2)
+    return track, draw(st.sampled_from([None, (4.0, 3.0)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(crowded_tracks())
+def test_velocities_match_the_per_pair_loop_above_16_agents(case):
+    # the same checks as the test above, on its undecorated body
+    test_velocities_match_the_per_pair_loop.hypothesis.inner_test(case)
+
+
 def test_residual_pass_skips_targets_taken_at_an_earlier_rank():
     # three sources propose target 0; the two losers share a nearest free
     # target, and the second must fall back to the other free one

@@ -65,6 +65,8 @@ ARGUMENT_SETS = {
     "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
     "simulate": ["simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2"],
     "isomap": ["isomap", "--input", "{wrapped}"],
+    # no dimension reaches the threshold: a 12-column embedding, a 12-row curve, a ManifoldWarning
+    "isomap-wide": ["isomap", "--input", "{tracked}", "--threshold", "1e-12", "--dmax", "12"],
     "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
     "low-confidence": ["analyze", "--input", "{collapse}"],
     # matches N=1, then exits 1 at observables
