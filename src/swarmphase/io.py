@@ -181,8 +181,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"config line {line_no}: duplicate key {key!r}")
+        values[key] = value
     return values
 
 

@@ -45,10 +45,6 @@ class ObservableSeries:
     epsilon: float
     n_agents: int
 
-    @property
-    def n_steps(self) -> int:
-        return self.coarse.shape[0]
-
 
 def group_speed_series(maps) -> np.ndarray:
     """Norm of the group mean velocity per step, normalized by its maximum.

@@ -100,11 +100,7 @@ class PipelineConfig:
             if value is not None and value <= 0:
                 raise ConfigError(f"{key}: must be positive")
         if self.input_path is not None:
-            for key in ("seed", *_SCENARIO_OVERRIDES, "periodic_matching"):
-                value = getattr(self, key)
-                # not ``value in (None, False)``: seed 0 == False would pass
-                if value is not None and value is not False:
-                    raise ConfigError(f"{key}: applies only to a simulated scenario, not to an input file")
+            self._reject_non_default(("seed", *_SCENARIO_OVERRIDES, "periodic_matching"), _INPUT_ONLY)
         # NaN compares false, so it slips past the range checks above
         for key, (f, value_type) in SETTINGS.items():
             value = getattr(self, f.name)
@@ -112,6 +108,18 @@ class PipelineConfig:
                 raise ConfigError(f"{key}: must be finite")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed: must be non-negative")
+
+    def reject_unread(self, command: str) -> None:
+        """Reject a non-default setting the command never reads; call it after the command's own checks."""
+        if self.input_path is not None:  # a loaded CSV has no unwrapped track
+            self._reject_non_default(("prefer_unwrapped",), _INPUT_ONLY)
+        self._reject_non_default(_UNREAD.get(command, ()), f"the {command} command does not read this setting")
+
+    def _reject_non_default(self, keys: tuple[str, ...], reason: str) -> None:
+        """Reject the first of ``keys``, in ``SETTINGS`` order, whose value differs from its field's default."""
+        for key, (f, _) in SETTINGS.items():
+            if key in keys and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{key}: {reason}")
 
     def resolved_seed(self) -> int:
         return 0 if self.seed is None else self.seed
@@ -126,6 +134,7 @@ class PipelineConfig:
 KEY_RENAMES = {"input_path": "input", "d_max": "dmax", "out_dir": "out"}
 # settings passed to make_scenario when set; rejected with an input file
 _SCENARIO_OVERRIDES = ("n_agents", "n_steps", "half_width", "half_height", "dt")
+_INPUT_ONLY = "applies only to a simulated scenario, not to an input file"
 
 _HINTS = typing.get_type_hints(PipelineConfig)
 # config key -> (field, value type), in declaration order; the value type is
@@ -133,6 +142,12 @@ _HINTS = typing.get_type_hints(PipelineConfig)
 SETTINGS = {
     KEY_RENAMES.get(f.name, f.name): (f, (typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0])
     for f in fields(PipelineConfig)
+}
+# config keys a command never reads; each must keep its default
+_UNREAD = {
+    "simulate": ("xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol", "canonicalize",
+                 "prefer_unwrapped", "periodic_matching", "dump_correspondence"),
+    "isomap": ("xi1", "xi2", "epsilon_mode", "min_len", "merge_tol", "dump_correspondence"),
 }
 
 
@@ -270,6 +285,7 @@ class _Run:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage and write the artifact set to the output directory."""
     run = _Run(config)
+    config.reject_unread("run")
     dataset = run.load()
 
     maps = _stage(
@@ -334,6 +350,7 @@ def run_simulate(config: PipelineConfig) -> dict[str, Path]:
     run = _Run(config)
     if config.scenario is None:
         raise ConfigError("scenario: the simulate command needs a scenario name")
+    config.reject_unread("simulate")
     run.write_trajectories(run.load())
     return run.artifacts
 
@@ -343,6 +360,7 @@ def run_isomap(config: PipelineConfig) -> dict[str, Path]:
     run = _Run(config)
     if config.input_path is None:
         raise ConfigError("input: the isomap command needs a trajectory file")
+    config.reject_unread("isomap")
     dataset = run.load()
     track = dataset.analysis_track(config.prefer_unwrapped)
     if config.canonicalize:

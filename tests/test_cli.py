@@ -201,6 +201,13 @@ class TestCliCommands:
         assert cli.main(["run", "--config", str(cfg)]) == 1
         assert "nonsense" in capsys.readouterr().err
 
+    def test_repeated_config_key_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = speed-switch\nn_agents = 10\nn_agents = 12\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "swarmphase: error: config line 3: duplicate key 'n_agents'\n"
+        assert not (tmp_path / "out").exists()
+
 
 # Today's 21 config keys, in declaration order; a renamed key fails here.
 CONFIG_KEYS = [
@@ -411,3 +418,104 @@ class TestWarningsOnStderr:
             "swarmphase: warning: LowConfidenceMatchWarning: step 60: only 2 of 10 agents matched without conflicts",
             "swarmphase: warning: LowConfidenceMatchWarning: step 61: only 1 of 10 agents matched without conflicts",
         ]
+
+
+# Settings a command never reads, by config key; each is rejected unless left at its default.
+SIMULATE_UNREAD = [
+    "xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol",
+    "canonicalize", "prefer_unwrapped", "periodic_matching", "dump_correspondence",
+]
+ISOMAP_UNREAD = ["xi1", "xi2", "epsilon_mode", "min_len", "merge_tol", "dump_correspondence"]
+# the ROUTES entry of each key whose value differs from the field's default
+NON_DEFAULT = {
+    key: (raw, args) for key, _, raw, args, expected in ROUTES if expected != pipeline.SETTINGS[key][0].default
+}
+INPUT_ONLY = "applies only to a simulated scenario, not to an input file"
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("input") / "input.csv"
+    io_.save_trajectory_csv(path, sim.simulate(sim.scenario_speed_switch(n_agents=6, n_steps=105, seed=1)).wrapped)
+    return str(path)
+
+
+def unread_cases():
+    for command, keys in (("simulate", SIMULATE_UNREAD), ("isomap", ISOMAP_UNREAD)):
+        message = f"the {command} command does not read this setting"
+        for key in keys:
+            yield pytest.param(command, key, message, id=f"{command}-{key}")
+    for command in ("run", "analyze", "isomap"):
+        yield pytest.param(command, "prefer_unwrapped", INPUT_ONLY, id=f"{command}-input-prefer_unwrapped")
+
+
+def command_args(command, csv):
+    if command == "simulate":
+        return ["simulate", "--scenario", "speed-switch", "--n-agents", "10"]
+    return [command, "--input", csv]
+
+
+class TestUnreadSettingsAreRejected:
+    @pytest.mark.parametrize("command,key,message", unread_cases())
+    def test_flag_names_the_key(self, tmp_path, capsys, small_csv, command, key, message):
+        out_dir = tmp_path / "out"
+        argv = [*command_args(command, small_csv), *NON_DEFAULT[key][1], "--out", str(out_dir)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"swarmphase: error: {key}: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command,key,message", unread_cases())
+    def test_config_line_names_the_key(self, tmp_path, capsys, small_csv, command, key, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {NON_DEFAULT[key][0]}\n")
+        out_dir = tmp_path / "out"
+        argv = [*command_args(command, small_csv), "--config", str(cfg), "--out", str(out_dir)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"swarmphase: error: {key}: {message}\n"
+        assert not out_dir.exists()
+
+    def test_first_key_in_declaration_order_is_named(self, tmp_path, capsys):
+        argv = [
+            "simulate", "--scenario", "speed-switch", "--n-agents", "10",
+            "--dump-correspondence", "--min-len", "4", "--k", "3", "--out", str(tmp_path / "out"),
+        ]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "swarmphase: error: k: the simulate command does not read this setting\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_python_api_rejects_before_writing(self, tmp_path, small_csv):
+        out = str(tmp_path / "out")
+        with pytest.raises(pipeline.ConfigError, match="^merge_tol: the simulate command does not read this setting$"):
+            pipeline.run_simulate(pipeline.PipelineConfig(scenario="speed-switch", merge_tol=0.5, out_dir=out))
+        with pytest.raises(pipeline.ConfigError, match="^xi2: the isomap command does not read this setting$"):
+            pipeline.run_isomap(pipeline.PipelineConfig(input_path=small_csv, xi2=0.5, out_dir=out))
+        with pytest.raises(pipeline.ConfigError, match=f"^prefer_unwrapped: {INPUT_ONLY}$"):
+            pipeline.run_pipeline(pipeline.PipelineConfig(input_path=small_csv, prefer_unwrapped=False, out_dir=out))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,keys",
+        [("simulate", SIMULATE_UNREAD), ("isomap", ISOMAP_UNREAD + ["prefer_unwrapped"]), ("analyze", ["prefer_unwrapped"])],
+    )
+    def test_explicit_defaults_are_accepted(self, tmp_path, capsys, small_csv, command, keys):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("".join(f"{key} = {pipeline.SETTINGS[key][0].default}\n" for key in keys))
+        base = command_args(command, small_csv)
+        assert cli.main([*base, "--out", str(tmp_path / "plain")]) == 0
+        assert cli.main([*base, "--config", str(cfg), "--out", str(tmp_path / "explicit")]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "explicit").iterdir())
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+    def test_configs_rejected_before_keep_their_message(self, tmp_path, capsys):
+        # the simulate command's own check comes first
+        argv = ["simulate", "--input", "x.csv", "--k", "3", "--no-prefer-unwrapped", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "swarmphase: error: scenario: the simulate command needs a scenario name\n"
+        # validate's checks come first too
+        argv = ["analyze", "--input", "x.csv", "--no-prefer-unwrapped", "--xi1", "nan", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "swarmphase: error: xi1: must be finite\n"
+        assert not (tmp_path / "out").exists()

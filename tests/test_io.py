@@ -189,6 +189,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2"):
             io_.parse_config_text("a = 1\nnot a pair\n")
 
+    def test_repeated_key_is_rejected_by_line(self):
+        with pytest.raises(ValueError, match=r"^config line 3: duplicate key 'k'$"):
+            io_.parse_config_text("k = 5\nseed = 1\nk = 9\n")
+
 
 @st.composite
 def trajectories(draw):

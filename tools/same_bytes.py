@@ -65,6 +65,12 @@ ARGUMENT_SETS = {
     "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
     "simulate": ["simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2"],
     "isomap": ["isomap", "--input", "{wrapped}"],
+    # settings the command never reads, each written out at its default
+    "explicit-defaults-simulate": [
+        "simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2",
+        "--k", "7", "--dmax", "10", "--canonicalize", "--no-periodic-matching", "--no-dump-correspondence",
+    ],
+    "explicit-defaults-isomap": ["isomap", "--input", "{wrapped}", "--min-len", "10", "--merge-tol", "0.1", "--prefer-unwrapped"],
     # no dimension reaches the threshold: a 12-column embedding, a 12-row curve, a ManifoldWarning
     "isomap-wide": ["isomap", "--input", "{tracked}", "--threshold", "1e-12", "--dmax", "12"],
     "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
