@@ -216,18 +216,14 @@ def correspond(
     return _match(source[None], target[None], _as_box(box_size), step)[0]
 
 
-def velocities(
-    dataset,
-    prefer_unwrapped: bool = True,
-    periodic_matching: bool = False,
-) -> list[CorrespondenceMap]:
-    """Correspondence maps for every consecutive frame pair of a dataset.
+def velocities(dataset, periodic_matching: bool = False) -> list[CorrespondenceMap]:
+    """Correspondence maps for every consecutive frame pair of the dataset's analysis track.
 
     Emits a ``LowConfidenceMatchWarning`` for steps where fewer than half the
     agents matched without conflicts. With ``periodic_matching`` distances use
     the minimum image of the dataset's box (intended for wrapped-only data).
     """
-    track = dataset.analysis_track(prefer_unwrapped)
+    track = dataset.analysis_track()
     if track.shape[0] < 2:
         raise ValueError("need at least 2 frames")
     box_size = None

@@ -196,15 +196,18 @@ def compute_observables(
     weight_speed: float = 1.0 / 3.0,
     weight_polarization: float = 1.0 / 3.0,
     epsilon_mode: str = "all_pairs",
-    prefer_unwrapped: bool = True,
 ) -> ObservableSeries:
-    """Full observable series for a dataset and its correspondence maps.
+    """Full observable series for a dataset's analysis track and its correspondence maps.
 
     The interaction radius aggregates over all frames; component counts and
     polarization are evaluated at the source frame of each step.
     """
-    track = dataset.analysis_track(prefer_unwrapped)
+    track = dataset.analysis_track()
     epsilon = interaction_epsilon(track, mode=epsilon_mode)
+    if epsilon == 0.0:
+        raise ValueError(
+            f"epsilon: 0 with epsilon_mode {epsilon_mode!r}; each agent coincides with another in every frame"
+        )
     components = component_series(track[:-1], epsilon)
     speed = group_speed_series(maps)
     pol = polarization_series(maps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import io as io_
@@ -276,6 +276,16 @@ class _Run:
         _stage("io", writer, path, *args)
         self.artifacts[name] = path
 
+    def configurations(self, dataset, maps=None):
+        """Configuration matrix of the analysis track, in the first frame's agent
+        order through ``maps`` (computed when not given) if ``canonicalize`` is on."""
+        track = dataset.analysis_track()
+        if self.config.canonicalize:
+            if maps is None:
+                maps = _stage("mapping", velocities, dataset)
+            track = _stage("mapping", canonicalize_order, track, maps)
+        return configuration_matrix(track)
+
     def write_trajectories(self, dataset) -> None:
         self.write("trajectory", "trajectory.csv", io_.save_trajectory_csv, dataset.wrapped)
         if dataset.unwrapped is not None:
@@ -287,33 +297,25 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     config.reject_unread("run")
     dataset = run.load()
+    # every stage analyses the same track; dropping the unwrapped one copies nothing
+    analysed = dataset if config.prefer_unwrapped else replace(dataset, unwrapped=None)
 
-    maps = _stage(
-        "mapping",
-        velocities,
-        dataset,
-        prefer_unwrapped=config.prefer_unwrapped,
-        periodic_matching=config.periodic_matching,
-    )
+    maps = _stage("mapping", velocities, analysed, periodic_matching=config.periodic_matching)
     series = _stage(
         "observables",
         compute_observables,
-        dataset,
+        analysed,
         maps,
         weight_speed=config.xi1,
         weight_polarization=config.xi2,
         epsilon_mode=config.epsilon_mode,
-        prefer_unwrapped=config.prefer_unwrapped,
     )
     delta = _stage("observables", distance_matrix, series.coarse)
 
     segmentation = _stage("segment", segment_series, series.coarse, config.min_len)
     segmentation = _stage("segment", label_manifolds, segmentation, config.merge_tol)
 
-    track = dataset.analysis_track(config.prefer_unwrapped)
-    if config.canonicalize:
-        track = _stage("mapping", canonicalize_order, track, maps)
-    points = configuration_matrix(track[:-1])
+    points = run.configurations(analysed, maps)[:-1]
     segment_reports, full_report = _stage(
         "manifold",
         per_segment_isomap,
@@ -361,12 +363,7 @@ def run_isomap(config: PipelineConfig) -> dict[str, Path]:
     if config.input_path is None:
         raise ConfigError("input: the isomap command needs a trajectory file")
     config.reject_unread("isomap")
-    dataset = run.load()
-    track = dataset.analysis_track(config.prefer_unwrapped)
-    if config.canonicalize:
-        maps = _stage("mapping", velocities, dataset, prefer_unwrapped=config.prefer_unwrapped)
-        track = _stage("mapping", canonicalize_order, track, maps)
-    points = configuration_matrix(track)
+    points = run.configurations(run.load())
     report = _stage("manifold", isomap, points, config.k, config.d_max, config.threshold)
     run.write("residual_full", "residual_full.csv", io_.save_residual_csv, report.residual_variances)
     embedding = report.embeddings[report.dimension - 1]

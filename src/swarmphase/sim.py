@@ -51,7 +51,7 @@ def wrap_positions(positions: np.ndarray, half_width: float, half_height: float)
     """Map positions into ``[-L, L) x [-H, H)``."""
     lo = np.array([-half_width, -half_height])
     box = np.array([2.0 * half_width, 2.0 * half_height])
-    return (positions - lo) % box + lo
+    return into_box(positions - lo, box) + lo
 
 
 def minimum_image(deltas: np.ndarray, half_width: float, half_height: float) -> np.ndarray:
@@ -89,7 +89,6 @@ class SimParams:
     dt: float = 0.05
     interaction_radius: float = 1.0
     seed: int = 0
-    phase_boundaries: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
@@ -137,7 +136,6 @@ class TrajectoryDataset:
     unwrapped: np.ndarray | None = None
     half_width: float | None = None
     half_height: float | None = None
-    phase_boundaries: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         self.wrapped = np.asarray(self.wrapped, dtype=float)
@@ -156,13 +154,13 @@ class TrajectoryDataset:
     def n_agents(self) -> int:
         return self.wrapped.shape[1]
 
-    def analysis_track(self, prefer_unwrapped: bool = True) -> np.ndarray:
+    def analysis_track(self) -> np.ndarray:
         """Positions used by downstream analysis.
 
-        The unwrapped track is returned when available and preferred, so that
+        The unwrapped track is returned when there is one, so that
         frame-to-frame displacements are free of periodic wrap jumps.
         """
-        if prefer_unwrapped and self.unwrapped is not None:
+        if self.unwrapped is not None:
             return self.unwrapped
         return self.wrapped
 
@@ -297,7 +295,6 @@ def simulate(params: SimParams) -> TrajectoryDataset:
         unwrapped=unwrapped,
         half_width=params.half_width,
         half_height=params.half_height,
-        phase_boundaries=params.phase_boundaries,
     )
 
 
@@ -338,7 +335,6 @@ def scenario_speed_switch(
         noise_high=noise_amplitude,
         dt=dt,
         seed=seed,
-        phase_boundaries=(50, 100),
     )
 
 
@@ -367,7 +363,6 @@ def scenario_noise_switch(
         noise_high=amp,
         dt=dt,
         seed=seed,
-        phase_boundaries=(50, 100),
     )
 
 

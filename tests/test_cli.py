@@ -1,10 +1,11 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmphase import cli, io as io_, pipeline, sim
+from swarmphase import cli, io as io_, mapping, observables, pipeline, sim
 
 
 def small_run_args(out_dir, seed=7):
@@ -119,6 +120,20 @@ class TestRunPipeline:
         assert lines[0] == "t,source,target,bijective,vx,vy"
         assert len(lines) == 1 + 104 * 6
 
+    def test_no_prefer_unwrapped_analyses_the_wrapped_track(self, tmp_path):
+        # a small box, so the group wraps and the two tracks give different observables
+        config = pipeline.PipelineConfig(
+            scenario="speed-switch", seed=5, n_agents=10, n_steps=105, half_width=3.0, half_height=3.0, dt=1.0,
+            prefer_unwrapped=False, out_dir=str(tmp_path / "out"),
+        )
+        result = pipeline.run_pipeline(config)
+        for name, dataset in (("wrapped", replace(result.dataset, unwrapped=None)), ("unwrapped", result.dataset)):
+            series = observables.compute_observables(dataset, mapping.velocities(dataset))
+            io_.save_observables_csv(tmp_path / f"{name}.csv", series)
+        written = result.artifacts["observables"].read_bytes()
+        assert written == (tmp_path / "wrapped.csv").read_bytes()
+        assert written != (tmp_path / "unwrapped.csv").read_bytes()
+
 
 class TestCliCommands:
     def test_run_writes_artifacts_and_returns_zero(self, tmp_path, capsys):
@@ -185,6 +200,19 @@ class TestCliCommands:
         code = cli.main(["run", "--input", str(traj), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "need at least 2 frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", observables.EPSILON_MODES)
+    def test_coincident_agents_fail_at_epsilon(self, tmp_path, capsys, mode):
+        traj = tmp_path / "coincident.csv"
+        traj.write_text("".join(f"{t},0.0,0.0\n" * 3 for t in range(1, 31)))
+        out_dir = tmp_path / "out"
+        argv = ["analyze", "--input", str(traj), "--min-len", "2", "--epsilon-mode", mode, "--out", str(out_dir)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"swarmphase: error: observables: epsilon: 0 with epsilon_mode {mode!r}; "
+            "each agent coincides with another in every frame"
+        )
+        assert not out_dir.exists()
 
     def test_config_file_driving_a_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmphase import sim
@@ -234,14 +235,10 @@ class TestSimulate:
         multiples = (ds.unwrapped - ds.wrapped) / np.array([2 * L, 2 * H])
         assert np.allclose(multiples, np.round(multiples), atol=1e-9)
 
-    def test_phase_boundaries_attached(self):
-        ds = sim.simulate(sim.scenario_speed_switch(n_agents=5, n_steps=110, seed=1))
-        assert ds.phase_boundaries == (50, 100)
-
     def test_analysis_track_prefers_unwrapped(self):
         ds = sim.simulate(sim.scenario_speed_switch(n_agents=4, n_steps=105, seed=0))
         assert ds.analysis_track() is ds.unwrapped
-        assert ds.analysis_track(prefer_unwrapped=False) is ds.wrapped
+        assert replace(ds, unwrapped=None).analysis_track() is ds.wrapped
 
 
 class TestParamValidation:
@@ -272,6 +269,11 @@ class TestParamValidation:
     st.floats(0.5, 20),
     st.floats(0.5, 20),
 )
+# a tiny offset below -L, which ``%`` alone rounds up to +L
+@example(np.nextafter(-6.0, -np.inf), 0.0, 6.0, 5.0)
+@example(np.nextafter(-2.5, -np.inf), 0.0, 2.5, 5.0)
+@example(np.nextafter(-1.25, -np.inf), 0.0, 1.25, 5.0)
+@example(0.0, np.nextafter(-5.0, -np.inf), 6.0, 5.0)
 def test_wrap_round_trip(x, y, L, H):
     wrapped = sim.wrap_positions(np.array([[x, y]]), L, H)
     assert -L <= wrapped[0, 0] < L

@@ -37,6 +37,14 @@ frames[60] = frames[60].mean(axis=0) + 1e-3 * np.arange(10)[:, None]
 io.save_trajectory_csv(sys.argv[1], frames)
 """
 
+# 3 agents at the origin for 30 frames: the derived interaction radius is 0
+MAKE_COINCIDENT = """
+import sys
+import numpy as np
+from swarmphase import io
+io.save_trajectory_csv(sys.argv[1], np.zeros((30, 3, 2)))
+"""
+
 SPEED = ["run", "--scenario", "speed-switch"]
 NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
@@ -62,9 +70,11 @@ ARGUMENT_SETS = {
         *SPEED, "--n-agents", "40", "--seed", "5",
         "--no-prefer-unwrapped", "--periodic-matching", "--dump-correspondence",
     ],
+    "wrapped-nocanon": [*NOISE, "--n-agents", "50", "--seed", "3", "--no-prefer-unwrapped", "--no-canonicalize"],
     "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
     "simulate": ["simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2"],
     "isomap": ["isomap", "--input", "{wrapped}"],
+    "isomap-nocanon": ["isomap", "--input", "{wrapped}", "--no-canonicalize"],
     # settings the command never reads, each written out at its default
     "explicit-defaults-simulate": [
         "simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2",
@@ -77,6 +87,8 @@ ARGUMENT_SETS = {
     "low-confidence": ["analyze", "--input", "{collapse}"],
     # matches N=1, then exits 1 at observables
     "one-agent": ["analyze", "--input", "{agent}"],
+    # exits 1 at observables: epsilon is 0
+    "coincident": ["analyze", "--input", "{coincident}", "--min-len", "2"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
@@ -105,6 +117,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-m", "swarmphase.cli", "simulate", "--scenario", "speed-switch", "--n-agents", "1",
          "--n-steps", "120", "--seed", "3", "--out", str(dest / "agent")],
         ["-c", MAKE_COLLAPSE, str(dest / "collapse.csv")],
+        ["-c", MAKE_COINCIDENT, str(dest / "coincident.csv")],
     ]
     for args in steps:
         done = python(src, args, dest)
@@ -115,6 +128,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "tracked": str(dest / "tracked" / "input.csv"),
         "wrapped": str(dest / "sim" / "trajectory.csv"),
         "collapse": str(dest / "collapse.csv"),
+        "coincident": str(dest / "coincident.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
