@@ -51,7 +51,6 @@ class EmbeddingReport:
     is the whole curve, rises included; no log record reports them.
     """
 
-    geodesics: np.ndarray
     embeddings: list[np.ndarray]
     residual_variances: np.ndarray
     dimension: int
@@ -169,12 +168,17 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
 
 
 def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
-    """One minus the squared correlation of geodesic vs embedded distances."""
+    """One minus the squared correlation of geodesic vs embedded distances.
+
+    ``geodesics`` is the square matrix or its condensed upper triangle (the
+    ``squareform`` convention).
+    """
     gmat = np.asarray(geodesics, dtype=float)
     coords = np.asarray(embedding, dtype=float)
-    if gmat.shape[0] != coords.shape[0]:
+    n = coords.shape[0]
+    if gmat.shape[0] != (n if gmat.ndim == 2 else n * (n - 1) // 2):
         raise ValueError("geodesic matrix and embedding must cover the same points")
-    g = squareform(gmat, checks=False)
+    g = squareform(gmat, checks=False) if gmat.ndim == 2 else gmat
     e = pdist(coords)
     if g.std() == 0.0 or e.std() == 0.0:
         warnings.warn(
@@ -227,9 +231,9 @@ def isomap(points: np.ndarray, k: int = 7, d_max: int = 10, threshold: float = 0
     evals, evecs = _mds_spectrum(geo)
     full = evecs[:, :cap] * np.sqrt(np.clip(evals[:cap], 0.0, None))
     embeddings = [full[:, :d] for d in range(1, cap + 1)]
-    residuals = np.array([residual_variance(geo, emb) for emb in embeddings])
+    condensed = squareform(geo, checks=False)
+    residuals = np.array([residual_variance(condensed, emb) for emb in embeddings])
     return EmbeddingReport(
-        geodesics=geo,
         embeddings=embeddings,
         residual_variances=residuals,
         dimension=estimate_dimension(residuals, threshold),

@@ -198,6 +198,16 @@ class TestResidualVariance:
         emb = manifold.classical_mds(d, 2)
         assert manifold.residual_variance(d, emb) == manifold.residual_variance(d, emb)
 
+    def test_condensed_geodesics_give_the_square_result(self):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(size=(25, 3))
+        d = squareform(pdist(pts))
+        emb = manifold.classical_mds(d, 2)
+        condensed = squareform(d, checks=False)
+        assert manifold.residual_variance(condensed, emb) == manifold.residual_variance(d, emb)
+        with pytest.raises(ValueError, match="same points"):
+            manifold.residual_variance(condensed[:-1], emb)
+
     def test_zero_variance_warns(self):
         d = np.zeros((3, 3))
         with pytest.warns(manifold.ManifoldWarning):
@@ -267,13 +277,16 @@ class TestIsomap:
         a = manifold.isomap(pts, k=7)
         b = manifold.isomap(moved, k=7)
         assert a.dimension == b.dimension
-        assert np.allclose(a.geodesics, b.geodesics, rtol=1e-9, atol=1e-9)
+        geo_a = manifold.geodesic_distances(manifold.knn_graph(pts, 7))
+        geo_b = manifold.geodesic_distances(manifold.knn_graph(moved, 7))
+        assert np.allclose(geo_a, geo_b, rtol=1e-9, atol=1e-9)
         assert np.allclose(a.residual_variances, b.residual_variances, atol=1e-7)
 
     def test_matches_standalone_mds(self):
         pts = swiss_roll(50, seed=12)
         report = manifold.isomap(pts, k=7, d_max=3)
-        direct = manifold.classical_mds(report.geodesics, 2)
+        geo = manifold.geodesic_distances(manifold.knn_graph(pts, 7))
+        direct = manifold.classical_mds(geo, 2)
         assert np.array_equal(report.embeddings[1], direct)
 
     def test_needs_three_points(self):
@@ -309,6 +322,17 @@ def dense_knn_graph(points, k):
     return k_eff, neighbors, weights
 
 
+def assert_matches_dense_knn_graph(pts, k):
+    graph = manifold.knn_graph(pts, k)
+    k_want, neighbors, weights = dense_knn_graph(pts, k)
+    assert graph.k == k_want
+    for got, want in zip(graph.neighbors, neighbors, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(graph.weights, weights, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return graph
+
+
 @st.composite
 def clustered_lattice_points(draw):
     """Shuffled clusters of small-lattice points: distance ties, duplicates, and k that must grow."""
@@ -327,14 +351,26 @@ def clustered_lattice_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(clustered_lattice_points())
 def test_knn_graph_matches_dense_per_k_reference(case):
-    pts, k = case
-    graph = manifold.knn_graph(pts, k)
-    k_want, neighbors, weights = dense_knn_graph(pts, k)
-    assert graph.k == k_want
-    for got, want in zip(graph.neighbors, neighbors, strict=True):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    for got, want in zip(graph.weights, weights, strict=True):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_matches_dense_knn_graph(*case)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_knn_graph_lattice_ties_at_the_cut(k):
+    # an inner vertex of a 6x6 unit lattice has 4 neighbours at distance 1 and
+    # 4 at sqrt(2): with k = 1..3 and 5 the cut falls inside a tie, n > k + 1
+    xs, ys = np.meshgrid(np.arange(6.0), np.arange(6.0))
+    lattice = np.column_stack([xs.ravel(), ys.ravel()])
+    order = np.random.default_rng(k).permutation(len(lattice))
+    assert_matches_dense_knn_graph(lattice[order], k)
+
+
+def test_knn_graph_grows_k_until_the_clusters_connect():
+    # three clusters of 8 points far apart: k=1 must grow to 8, the first k
+    # at which a point lists a neighbour in another cluster
+    rng = np.random.default_rng(11)
+    pts = np.vstack([rng.uniform(size=(8, 3)) + 100.0 * c for c in range(3)])
+    graph = assert_matches_dense_knn_graph(pts[rng.permutation(len(pts))], 1)
+    assert graph.k == 8
 
 
 def argsort_mds_spectrum(distances):

@@ -107,7 +107,7 @@ class TestPerSegmentIsomap:
         )
         reports, full = segment.per_segment_isomap(pts, seg1, k=5)
         assert reports[0].dimension == full.dimension
-        assert np.array_equal(reports[0].geodesics, full.geodesics)
+        assert np.array_equal(reports[0].residual_variances, full.residual_variances)
 
     def test_tiny_segment_skipped_with_warning(self):
         rng = np.random.default_rng(3)

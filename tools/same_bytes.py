@@ -9,7 +9,8 @@ inputs with REV's code, then runs the swarmphase CLI from both trees on a
 fixed list of argument sets. For each set it compares the artifact tree byte
 for byte, stdout, stderr (each tree's source path masked as ``<src>``) and
 the exit code, prints one line per set and the differences, and exits 1 if
-anything differs.
+anything differs. For a CSV that differs it also prints the largest absolute
+difference between numeric fields, so that a rounding change shows as a size.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ ARGUMENT_SETS = {
     "wrapped-dump": [
         *SPEED, "--n-agents", "40", "--seed", "5",
         "--no-prefer-unwrapped", "--periodic-matching", "--dump-correspondence",
+    ],
+    # the wrapped track crosses the box edge: X moves by up to 0.30 against the unwrapped one
+    "wrapped-edge": [
+        *SPEED, "--n-agents", "10", "--seed", "5", "--half-width", "3", "--half-height", "3",
+        "--dt", "1.0", "--no-prefer-unwrapped",
     ],
     "wrapped-nocanon": [*NOISE, "--n-agents", "50", "--seed", "3", "--no-prefer-unwrapped", "--no-canonicalize"],
     "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
@@ -144,6 +150,22 @@ def run_set(src: Path, args: list[str], run_dir: Path) -> tuple[dict[str, bytes]
     return files, done.stdout, done.stderr.replace(str(src), "<src>"), done.returncode
 
 
+def largest_difference(old: bytes, new: bytes) -> str:
+    """The largest absolute difference between the numeric fields of two CSV texts."""
+    old_rows, new_rows = ([line.split(",") for line in text.decode().splitlines()] for text in (old, new))
+    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
+        return "rows or columns differ"
+    worst = 0.0
+    for a, b in zip((f for r in old_rows for f in r), (f for r in new_rows for f in r)):
+        if a == b:
+            continue
+        try:
+            worst = max(worst, abs(float(a) - float(b)))
+        except ValueError:
+            return f"a non-numeric field differs: {a!r} -> {b!r}"
+    return f"largest absolute difference {worst:.3g}"
+
+
 def compare(name: str, base, change) -> list[str]:
     """Lines describing how two runs of one argument set differ; empty if they match."""
     (base_files, *base_streams), (change_files, *change_streams) = base, change
@@ -151,6 +173,11 @@ def compare(name: str, base, change) -> list[str]:
     differing = sorted(k for k in base_files.keys() | change_files.keys() if base_files.get(k) != change_files.get(k))
     if differing:
         report.append(f"  artifacts differ: {', '.join(differing)}")
+        report.extend(
+            f"    {k}: {largest_difference(base_files[k], change_files[k])}"
+            for k in differing
+            if k.endswith(".csv") and k in base_files and k in change_files
+        )
     for label, old, new in zip(("stdout", "stderr", "exit code"), base_streams, change_streams):
         if old == new:
             continue
