@@ -9,7 +9,9 @@ below a threshold). Nothing is logged: a rise in the residual curve shows in
 the returned ``residual_variances`` and in ``residual_*.csv``.
 
 Graph connectivity and Dijkstra shortest paths come from
-``scipy.sparse.csgraph``; MDS uses a dense symmetric eigendecomposition.
+``scipy.sparse.csgraph``. MDS solves only the top eigenpairs it reads (the
+top ``d_max`` in ``isomap``) with ``scipy.linalg.eigh(subset_by_index=...)``,
+and fixes each axis's sign: its largest-magnitude entry is positive.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
@@ -125,15 +128,25 @@ def geodesic_distances(graph: NeighborGraph) -> np.ndarray:
     return np.minimum(out, out.T)
 
 
-def _mds_spectrum(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mds_spectrum(distances: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` largest eigenpairs of the double-centred Gram matrix, in
+    descending order. Each eigenvector's largest-magnitude entry, the first
+    of equals, is positive. An eigenvalue at or below ``lambda_max * n * eps``
+    (the ``numpy.linalg.matrix_rank`` rule), rounding noise or negative, is
+    returned as 0; ``classical_mds`` and ``isomap`` share this rule.
+    """
     d2 = np.asarray(distances, dtype=float) ** 2
     row = d2.mean(axis=1, keepdims=True)
     col = d2.mean(axis=0, keepdims=True)
     gram = -0.5 * (d2 - row - col + d2.mean())
     gram = 0.5 * (gram + gram.T)
-    evals, evecs = np.linalg.eigh(gram)
+    n = gram.shape[0]
+    evals, evecs = eigh(gram, subset_by_index=(n - top, n - 1))
     # eigh returns ascending eigenvalues; reversed views give descending order
-    return evals[::-1], evecs[:, ::-1]
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    evals = np.where(evals > abs(evals[0]) * n * np.finfo(float).eps, evals, 0.0)
+    peaks = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(top)]
+    return evals, evecs * np.where(peaks < 0.0, -1.0, 1.0)
 
 
 def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
@@ -141,8 +154,9 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
 
     Coordinates are the top eigenvectors of the double-centered squared
     distance matrix, scaled by the square roots of their eigenvalues.
-    Dimensions beyond the positive spectrum are zero-padded with a warning.
-    Deterministic up to per-axis sign.
+    Only the top ``dim`` eigenpairs are solved. An eigenvalue counts as
+    positive above ``lambda_max * n * eps``; the axes past the positive ones
+    are zero, with a warning. Each axis's largest-magnitude entry is positive.
     """
     dmat = np.asarray(distances, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
@@ -154,9 +168,8 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError("distance matrix must have a zero diagonal")
     if not (1 <= dim <= n - 1):
         raise ValueError(f"embedding dimension must be in [1, {n - 1}], got {dim}")
-    evals, evecs = _mds_spectrum(dmat)
-    leading = evals[:dim]
-    n_positive = int(np.sum(leading > 0.0))
+    evals, evecs = _mds_spectrum(dmat, dim)
+    n_positive = int(np.count_nonzero(evals))
     if n_positive < dim:
         warnings.warn(
             f"only {n_positive} positive eigenvalues; padding {dim - n_positive} "
@@ -164,7 +177,7 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
             ManifoldWarning,
             stacklevel=2,
         )
-    return evecs[:, :dim] * np.sqrt(np.clip(leading, 0.0, None))
+    return evecs * np.sqrt(evals)
 
 
 def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
@@ -179,15 +192,18 @@ def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
     if gmat.shape[0] != (n if gmat.ndim == 2 else n * (n - 1) // 2):
         raise ValueError("geodesic matrix and embedding must cover the same points")
     g = squareform(gmat, checks=False) if gmat.ndim == 2 else gmat
+    g = g - g.mean()
     e = pdist(coords)
-    if g.std() == 0.0 or e.std() == 0.0:
+    e -= e.mean()
+    gg, ee = g @ g, e @ e
+    if gg == 0.0 or ee == 0.0:
         warnings.warn(
             "distance vector has zero variance; residual variance defined as 0",
             ManifoldWarning,
             stacklevel=2,
         )
         return 0.0
-    rho = np.corrcoef(g, e)[0, 1]
+    rho = (g @ e) / (np.sqrt(gg) * np.sqrt(ee))
     return float(np.clip(1.0 - rho * rho, 0.0, 1.0))
 
 
@@ -228,8 +244,8 @@ def isomap(points: np.ndarray, k: int = 7, d_max: int = 10, threshold: float = 0
     geo = geodesic_distances(graph)
     cap = min(d_max, pts.shape[0] - 1)
 
-    evals, evecs = _mds_spectrum(geo)
-    full = evecs[:, :cap] * np.sqrt(np.clip(evals[:cap], 0.0, None))
+    evals, evecs = _mds_spectrum(geo, cap)
+    full = evecs * np.sqrt(evals)
     embeddings = [full[:, :d] for d in range(1, cap + 1)]
     condensed = squareform(geo, checks=False)
     residuals = np.array([residual_variance(condensed, emb) for emb in embeddings])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -165,6 +167,30 @@ class TestClassicalMds:
             emb = manifold.classical_mds(d, 3)
         assert np.allclose(emb[:, 1:], 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 20, 60])
+    def test_collinear_points_pad_all_but_one_axis(self, n):
+        # the zero eigenvalues of a line come out as rounding noise of either
+        # sign; below lambda_max * n * eps they count as zero
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            t = rng.uniform(-5.0, 5.0, n)
+            direction = rng.normal(size=3)
+            pts = t[:, None] * (direction / np.linalg.norm(direction)) + rng.normal(size=3)
+            d = squareform(pdist(pts))
+            with pytest.warns(manifold.ManifoldWarning, match="only 1 positive eigenvalues; padding 1 "):
+                emb = manifold.classical_mds(d, 2)
+            assert np.array_equal(emb[:, 1], np.zeros(n))
+            assert np.abs(np.abs(emb[:, 0, None] - emb[None, :, 0]) - d).max() < 1e-9
+
+    def test_thin_planar_set_keeps_its_second_axis(self):
+        # lambda_2 / lambda_1 ~ 1e-12 is far above n * eps: a real axis, not padding
+        rng = np.random.default_rng(13)
+        pts = np.column_stack([rng.uniform(0.0, 1.0, 20), 1e-6 * rng.uniform(0.0, 1.0, 20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = manifold.classical_mds(squareform(pdist(pts)), 2)
+        assert np.all(emb[:, 1] != 0.0)
+
     def test_dimension_bounds(self):
         d = np.zeros((3, 3))
         with pytest.raises(ValueError):
@@ -286,8 +312,17 @@ class TestIsomap:
         pts = swiss_roll(50, seed=12)
         report = manifold.isomap(pts, k=7, d_max=3)
         geo = manifold.geodesic_distances(manifold.knn_graph(pts, 7))
-        direct = manifold.classical_mds(geo, 2)
+        # the same request as isomap's (the top d_max = 3 pairs) gives the same bits
+        direct = manifold.classical_mds(geo, 3)[:, :2]
         assert np.array_equal(report.embeddings[1], direct)
+
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    def test_collinear_points_embed_on_one_axis(self, n):
+        # classical_mds's rule: eigenvalues at rounding-noise size give zero axes
+        pts = np.outer(np.linspace(0.0, 1.0, n), [1.0, 2.0, -1.0])
+        report = manifold.isomap(pts, k=3, d_max=4)
+        assert np.all(report.embeddings[-1][:, 0] != 0.0)
+        assert np.all(report.embeddings[-1][:, 1:] == 0.0)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -373,16 +408,13 @@ def test_knn_graph_grows_k_until_the_clusters_connect():
     assert graph.k == 8
 
 
-def argsort_mds_spectrum(distances):
-    """Reference spectrum: eigh's pairs gathered into descending order through an argsort."""
+def double_centred_gram(distances):
+    """Reference Gram matrix of classical MDS: -1/2 J D^2 J, symmetrized."""
     d2 = np.asarray(distances, dtype=float) ** 2
     row = d2.mean(axis=1, keepdims=True)
     col = d2.mean(axis=0, keepdims=True)
     gram = -0.5 * (d2 - row - col + d2.mean())
-    gram = 0.5 * (gram + gram.T)
-    evals, evecs = np.linalg.eigh(gram)
-    idx = np.argsort(evals)[::-1]
-    return evals[idx], evecs[:, idx]
+    return 0.5 * (gram + gram.T)
 
 
 @st.composite
@@ -404,10 +436,38 @@ def tie_heavy_distances(draw):
     return squareform(pdist(pts))
 
 
+@st.composite
+def random_distances(draw):
+    """Euclidean distances of random points, or geodesics of their k-NN graph (negative eigenvalues)."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, draw(st.integers(1, 6)))) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        return squareform(pdist(pts))
+    return manifold.geodesic_distances(manifold.knn_graph(pts, draw(st.integers(1, 4))))
+
+
+@st.composite
+def spectrum_requests(draw):
+    distances = draw(st.one_of(tie_heavy_distances(), random_distances()))
+    return distances, draw(st.integers(1, max(1, distances.shape[0] - 1)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(tie_heavy_distances())
-def test_mds_spectrum_matches_argsort_gather(distances):
-    evals, evecs = manifold._mds_spectrum(distances)
-    want_evals, want_evecs = argsort_mds_spectrum(distances)
-    assert np.array_equal(evals, want_evals)
-    assert np.array_equal(evecs, want_evecs)
+@given(spectrum_requests())
+def test_mds_spectrum_returns_the_top_eigenpairs(request):
+    distances, top = request
+    evals, evecs = manifold._mds_spectrum(distances, top)
+    gram = double_centred_gram(distances)
+    every = np.linalg.eigvalsh(gram)
+    tol = 1e-9 * max(1.0, np.abs(every).max())
+    assert evals.shape == (top,) and evecs.shape == (gram.shape[0], top)
+    wanted = every[::-1][:top]
+    # at or below lambda_max * n * eps (rounding noise or negative) reads as 0
+    positive = wanted > abs(wanted[0]) * gram.shape[0] * np.finfo(float).eps
+    assert np.all(evals >= 0.0)
+    assert np.abs(evals - np.where(positive, wanted, 0.0)).max() <= tol
+    assert np.linalg.norm(gram @ evecs - evecs * wanted, axis=0).max() <= tol
+    assert np.abs(evecs.T @ evecs - np.eye(top)).max() <= 1e-9
+    # sign rule: the largest-magnitude entry of each axis, the first of equals, is positive
+    assert np.all(evecs[np.argmax(np.abs(evecs), axis=0), np.arange(top)] > 0.0)
