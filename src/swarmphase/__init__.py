@@ -9,7 +9,6 @@ from .sim import (
     SimParams,
     TrajectoryDataset,
     make_scenario,
-    neighbors_within,
     scenario_noise_switch,
     scenario_speed_switch,
     scenario_split_rejoin,
@@ -41,7 +40,6 @@ __all__ = [
     "knn_graph",
     "label_manifolds",
     "make_scenario",
-    "neighbors_within",
     "per_segment_isomap",
     "polarization",
     "residual_variance",

@@ -216,23 +216,21 @@ def correspond(
     return _match(source[None], target[None], _as_box(box_size), step)[0]
 
 
-def velocities(dataset, periodic_matching: bool = False) -> list[CorrespondenceMap]:
+def velocities(dataset) -> list[CorrespondenceMap]:
     """Correspondence maps for every consecutive frame pair of the dataset's analysis track.
 
     Emits a ``LowConfidenceMatchWarning`` for steps where fewer than half the
-    agents matched without conflicts. With ``periodic_matching`` distances use
-    the minimum image of the dataset's box (intended for wrapped-only data).
+    agents matched without conflicts. Distances use the minimum image of the
+    dataset's box when the analysis track is the wrapped track of a known box,
+    and are plain otherwise (an unwrapped track, or data loaded without a box).
     """
     track = dataset.analysis_track()
     if track.shape[0] < 2:
         raise ValueError("need at least 2 frames")
-    box_size = None
-    if periodic_matching:
-        if dataset.half_width is None or dataset.half_height is None:
-            raise ValueError("periodic matching needs the dataset box size")
-        box_size = (2.0 * dataset.half_width, 2.0 * dataset.half_height)
-
-    maps = _match(track[:-1], track[1:], _as_box(box_size), 1)
+    box = None
+    if dataset.unwrapped is None and dataset.half_width is not None:
+        box = np.array([2.0 * dataset.half_width, 2.0 * dataset.half_height])
+    maps = _match(track[:-1], track[1:], box, 1)
     n = track.shape[1]
     for m in maps:
         matched = int(m.bijective.sum())

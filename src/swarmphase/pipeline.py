@@ -65,7 +65,6 @@ class PipelineConfig:
     dt: float | None = None
     canonicalize: bool = True
     prefer_unwrapped: bool = True
-    periodic_matching: bool = False
     dump_correspondence: bool = False
 
     def validate(self) -> None:
@@ -100,7 +99,7 @@ class PipelineConfig:
             if value is not None and value <= 0:
                 raise ConfigError(f"{key}: must be positive")
         if self.input_path is not None:
-            self._reject_non_default(("seed", *_SCENARIO_OVERRIDES, "periodic_matching"), _INPUT_ONLY)
+            self._reject_non_default(("seed", *_SCENARIO_OVERRIDES), _INPUT_ONLY)
         # NaN compares false, so it slips past the range checks above
         for key, (f, value_type) in SETTINGS.items():
             value = getattr(self, f.name)
@@ -146,7 +145,7 @@ SETTINGS = {
 # config keys a command never reads; each must keep its default
 _UNREAD = {
     "simulate": ("xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol", "canonicalize",
-                 "prefer_unwrapped", "periodic_matching", "dump_correspondence"),
+                 "prefer_unwrapped", "dump_correspondence"),
     "isomap": ("xi1", "xi2", "epsilon_mode", "min_len", "merge_tol", "dump_correspondence"),
 }
 
@@ -297,10 +296,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     config.reject_unread("run")
     dataset = run.load()
-    # every stage analyses the same track; dropping the unwrapped one copies nothing
+    # every stage analyses the same track; dropping the unwrapped one copies
+    # nothing and makes the matching use the box's minimum image
     analysed = dataset if config.prefer_unwrapped else replace(dataset, unwrapped=None)
 
-    maps = _stage("mapping", velocities, analysed, periodic_matching=config.periodic_matching)
+    maps = _stage("mapping", velocities, analysed)
     series = _stage(
         "observables",
         compute_observables,

@@ -130,6 +130,8 @@ class TrajectoryDataset:
     ``wrapped`` holds in-box positions, shape ``(T, N, 2)``. ``unwrapped``
     holds raw accumulated displacements when the data came from the
     simulator, otherwise ``None`` (e.g. data loaded from CSV).
+    ``half_width`` and ``half_height`` give the periodic box, both or
+    neither; ``mapping.velocities`` matches a wrapped track through it.
     """
 
     wrapped: np.ndarray
@@ -145,6 +147,12 @@ class TrajectoryDataset:
             self.unwrapped = np.asarray(self.unwrapped, dtype=float)
             if self.unwrapped.shape != self.wrapped.shape:
                 raise ValueError("wrapped and unwrapped tracks must have identical shape")
+        if (self.half_width is None) != (self.half_height is None):
+            raise ValueError("half_width and half_height must be given together")
+        for key in ("half_width", "half_height"):
+            value = getattr(self, key)
+            if value is not None and not (0 < value < math.inf):
+                raise ValueError(f"{key} must be positive and finite")
 
     @property
     def n_frames(self) -> int:
@@ -166,57 +174,25 @@ class TrajectoryDataset:
 
 
 def _adjacency(
-    positions: np.ndarray,
-    radius: float,
-    half_width: float | None,
-    half_height: float | None,
-    periodic: bool,
+    positions: np.ndarray, radius: float, half_width: float, half_height: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor relation as ``(rows, cols)`` pair arrays, self-loops included.
+    """Periodic neighbor relation as ``(rows, cols)`` pair arrays, self-loops included.
 
     The pairs are sorted row-major: by row, then by column within a row. A
-    k-d tree (periodic when ``periodic``) proposes every pair within a
-    slightly enlarged radius, since it measures on shifted coordinates that
-    round differently; the same minimum-image ``<= radius**2`` test as a
-    dense pairwise check then decides membership, so the relation is exactly
-    the dense one.
+    periodic k-d tree proposes every pair within a slightly enlarged radius,
+    since it measures on shifted coordinates that round differently; the same
+    minimum-image ``<= radius**2`` test as a dense pairwise check then decides
+    membership, so the relation is exactly the dense one.
     """
     n = positions.shape[0]
-    if periodic:
-        box = np.array([2.0 * half_width, 2.0 * half_height])
-        tree = cKDTree(into_box(positions, box), boxsize=box)
-    else:
-        tree = cKDTree(positions)
+    box = np.array([2.0 * half_width, 2.0 * half_height])
+    tree = cKDTree(into_box(positions, box), boxsize=box)
     pairs = tree.query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-    deltas = positions[pairs[:, 0]] - positions[pairs[:, 1]]
-    if periodic:
-        deltas = minimum_image(deltas, half_width, half_height)
+    deltas = minimum_image(positions[pairs[:, 0]] - positions[pairs[:, 1]], half_width, half_height)
     i, j = pairs[np.einsum("ij,ij->i", deltas, deltas) <= radius * radius].T
     # sorting the keys ``row * n + col`` sorts the pairs row-major
     keys = np.sort(np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1))))
     return np.divmod(keys, n)
-
-
-def neighbors_within(
-    positions: np.ndarray,
-    radius: float,
-    half_width: float | None = None,
-    half_height: float | None = None,
-    periodic: bool = True,
-) -> list[np.ndarray]:
-    """Index sets of all agents within ``radius`` of each agent (self included).
-
-    Uses the minimum-image distance when ``periodic``. The relation is
-    symmetric and every agent is its own neighbor.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if periodic and (half_width is None or half_height is None):
-        raise ValueError("periodic neighbor search needs half_width and half_height")
-    rows, cols = _adjacency(positions, radius, half_width, half_height, periodic)
-    bounds = np.searchsorted(rows, np.arange(positions.shape[0] + 1))
-    return [cols[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def step(
@@ -234,9 +210,7 @@ def step(
     agent's averaged alignment vector vanishes, its previous heading is kept.
     """
     n = params.n_agents
-    rows, cols = _adjacency(
-        wrapped, params.interaction_radius, params.half_width, params.half_height, periodic=True
-    )
+    rows, cols = _adjacency(wrapped, params.interaction_radius, params.half_width, params.half_height)
     units = np.column_stack((np.cos(headings), np.sin(headings)))
     if params.rotations is None:
         deflected = units

@@ -121,18 +121,23 @@ class TestRunPipeline:
         assert len(lines) == 1 + 104 * 6
 
     def test_no_prefer_unwrapped_analyses_the_wrapped_track(self, tmp_path):
-        # a small box, so the group wraps and the two tracks give different observables
+        # a small box, so the group wraps: matched through the box, the wrapped
+        # track gives the unwrapped one's speed and P, but its epsilon and C differ
         config = pipeline.PipelineConfig(
             scenario="speed-switch", seed=5, n_agents=10, n_steps=105, half_width=3.0, half_height=3.0, dt=1.0,
             prefer_unwrapped=False, out_dir=str(tmp_path / "out"),
         )
         result = pipeline.run_pipeline(config)
+        series = {}
         for name, dataset in (("wrapped", replace(result.dataset, unwrapped=None)), ("unwrapped", result.dataset)):
-            series = observables.compute_observables(dataset, mapping.velocities(dataset))
-            io_.save_observables_csv(tmp_path / f"{name}.csv", series)
+            series[name] = observables.compute_observables(dataset, mapping.velocities(dataset))
+            io_.save_observables_csv(tmp_path / f"{name}.csv", series[name])
         written = result.artifacts["observables"].read_bytes()
         assert written == (tmp_path / "wrapped.csv").read_bytes()
         assert written != (tmp_path / "unwrapped.csv").read_bytes()
+        for field in ("speed", "polarization"):
+            got, want = getattr(series["wrapped"], field), getattr(series["unwrapped"], field)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestCliCommands:
@@ -237,12 +242,12 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
 
-# Today's 21 config keys, in declaration order; a renamed key fails here.
+# Today's 20 config keys, in declaration order; a renamed key fails here.
 CONFIG_KEYS = [
     "scenario", "input", "seed", "xi1", "xi2", "epsilon_mode", "k", "dmax",
     "threshold", "min_len", "merge_tol", "out", "n_agents", "n_steps",
     "half_width", "half_height", "dt", "canonicalize", "prefer_unwrapped",
-    "periodic_matching", "dump_correspondence",
+    "dump_correspondence",
 ]
 
 # (config key, field, config-file value, CLI args, expected field value);
@@ -269,8 +274,6 @@ ROUTES = [
     ("canonicalize", "canonicalize", "on", ["--canonicalize"], True),
     ("prefer_unwrapped", "prefer_unwrapped", "no", ["--no-prefer-unwrapped"], False),
     ("prefer_unwrapped", "prefer_unwrapped", "yes", ["--prefer-unwrapped"], True),
-    ("periodic_matching", "periodic_matching", "true", ["--periodic-matching"], True),
-    ("periodic_matching", "periodic_matching", "false", ["--no-periodic-matching"], False),
     ("dump_correspondence", "dump_correspondence", "on", ["--dump-correspondence"], True),
     ("dump_correspondence", "dump_correspondence", "off", ["--no-dump-correspondence"], False),
 ]
@@ -302,7 +305,6 @@ class TestConfigSchema:
             ("half_width", 3.0),
             ("half_height", 3.0),
             ("dt", 0.5),
-            ("periodic_matching", True),
         ],
     )
     def test_input_rejects_simulator_settings(self, key, value):
@@ -350,6 +352,23 @@ class TestSettingsThatDoNothingAreRejected:
         cfg.write_text(f"scenario = split-rejoin\nliteral_sigmoid = on\nout = {tmp_path / 'out'}\n")
         assert cli.main(["run", "--config", str(cfg)]) == 1
         assert "unknown config key 'literal_sigmoid'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # the analysed track decides whether matching is periodic
+    @pytest.mark.parametrize("flag", ["--periodic-matching", "--no-periodic-matching"])
+    def test_periodic_matching_flag_is_gone(self, tmp_path, capsys, flag):
+        argv = ["run", "--scenario", "speed-switch", "--no-prefer-unwrapped", flag, "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_periodic_matching_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = speed-switch\nperiodic_matching = on\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "swarmphase: error: unknown config key 'periodic_matching'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["0", "5"])
@@ -426,12 +445,12 @@ class TestWarningsOnStderr:
         argv = [
             "run", "--scenario", "speed-switch", "--n-agents", "120",
             "--half-width", "1.25", "--half-height", "0.75", "--dt", "2.0",
-            "--periodic-matching", "--seed", "6", "--out", str(tmp_path / "out"),
+            "--threshold", "1e-12", "--seed", "6", "--out", str(tmp_path / "out"),
         ]
         shown = warnings.showwarning
         assert cli.main(argv) == 0
         assert capsys.readouterr().err.splitlines() == [
-            "swarmphase: warning: ManifoldWarning: no dimension reaches residual 0.1; reporting the maximum tried"
+            "swarmphase: warning: ManifoldWarning: no dimension reaches residual 1e-12; reporting the maximum tried"
         ]
         assert warnings.showwarning is shown
 
@@ -451,7 +470,7 @@ class TestWarningsOnStderr:
 # Settings a command never reads, by config key; each is rejected unless left at its default.
 SIMULATE_UNREAD = [
     "xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol",
-    "canonicalize", "prefer_unwrapped", "periodic_matching", "dump_correspondence",
+    "canonicalize", "prefer_unwrapped", "dump_correspondence",
 ]
 ISOMAP_UNREAD = ["xi1", "xi2", "epsilon_mode", "min_len", "merge_tol", "dump_correspondence"]
 # the ROUTES entry of each key whose value differs from the field's default

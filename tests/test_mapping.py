@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,7 +414,7 @@ def test_velocities_match_the_per_pair_loop(case):
     ds = sim.TrajectoryDataset(wrapped=track, half_width=half[0], half_height=half[1])
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("always")
-        maps = mapping.velocities(ds, periodic_matching=box_size is not None)
+        maps = mapping.velocities(ds)
         expected, messages = looped_velocities(track, box_size)
     assert [str(w.message) for w in caught if w.category is mapping.LowConfidenceMatchWarning] == messages
     assert [m.step for m in maps] == list(range(1, track.shape[0]))
@@ -444,6 +445,20 @@ def crowded_tracks(draw):
 def test_velocities_match_the_per_pair_loop_above_16_agents(case):
     # the same checks as the test above, on its undecorated body
     test_velocities_match_the_per_pair_loop.hypothesis.inner_test(case)
+
+
+def test_velocities_use_the_box_only_on_a_wrapped_track():
+    # one agent steps (1, 3) in a 4 x 4 box and crosses its right edge
+    unwrapped = np.array([[[1.5, 0.0]], [[2.5, 3.0]]])
+    wrapped = sim.wrap_positions(unwrapped, 2.0, 2.0)
+    ds = sim.TrajectoryDataset(wrapped=wrapped, unwrapped=unwrapped, half_width=2.0, half_height=2.0)
+
+    def step(dataset):
+        return mapping.velocities(dataset)[0].velocities.tolist()
+
+    assert step(ds) == [[1.0, 3.0]]  # the unwrapped track: plain distances
+    assert step(replace(ds, unwrapped=None)) == [[1.0, -1.0]]  # the wrapped track: minimum image
+    assert step(sim.TrajectoryDataset(wrapped=wrapped)) == [[-3.0, -1.0]]  # no box: plain distances
 
 
 def test_residual_pass_skips_targets_taken_at_an_earlier_rank():

@@ -24,23 +24,25 @@ def brute_neighbors(positions, radius, L, H):
     return out
 
 
+def neighbor_lists(positions, radius, L, H):
+    """``sim._adjacency`` as one list of neighbor indices per agent."""
+    rows, cols = sim._adjacency(np.asarray(positions, dtype=float), radius, L, H)
+    return [cols[rows == i].tolist() for i in range(len(positions))]
+
+
 class TestNeighbors:
     def test_single_agent_is_own_neighbor(self):
-        nbrs = sim.neighbors_within(np.array([[0.3, -0.2]]), 1.0, 8.0, 5.0)
-        assert [list(a) for a in nbrs] == [[0]]
+        assert neighbor_lists(np.array([[0.3, -0.2]]), 1.0, 8.0, 5.0) == [[0]]
 
     def test_periodic_wrap_pair(self):
         # agents near opposite vertical edges are mutual neighbors through the wrap
         L = 8.0
         pos = np.array([[-L + 0.1, 0.0], [L - 0.1, 0.0]])
-        nbrs = sim.neighbors_within(pos, 1.0, L, 5.0)
-        assert list(nbrs[0]) == [0, 1]
-        assert list(nbrs[1]) == [0, 1]
+        assert neighbor_lists(pos, 1.0, L, 5.0) == [[0, 1], [0, 1]]
 
     def test_three_agents_example(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
-        nbrs = sim.neighbors_within(pos, 1.0, 8.0, 8.0)
-        assert [list(a) for a in nbrs] == [[0, 1], [0, 1], [2]]
+        assert neighbor_lists(pos, 1.0, 8.0, 8.0) == [[0, 1], [0, 1], [2]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -48,21 +50,19 @@ class TestNeighbors:
             n = int(rng.integers(2, 15))
             L, H = 4.0, 3.0
             pos = np.column_stack((rng.uniform(-L, L, n), rng.uniform(-H, H, n)))
-            got = sim.neighbors_within(pos, 1.2, L, H)
-            want = brute_neighbors(pos, 1.2, L, H)
-            assert [list(a) for a in got] == want
+            assert neighbor_lists(pos, 1.2, L, H) == brute_neighbors(pos, 1.2, L, H)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         pos = np.column_stack((rng.uniform(-6, 6, 30), rng.uniform(-6, 6, 30)))
-        nbrs = sim.neighbors_within(pos, 1.0, 6.0, 6.0)
+        nbrs = neighbor_lists(pos, 1.0, 6.0, 6.0)
         for i, members in enumerate(nbrs):
             for j in members:
                 assert i in nbrs[j]
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            sim.neighbors_within(np.zeros((2, 2)), 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^interaction_radius must be positive$"):
+            single_agent_params(interaction_radius=0.0)
 
 
 def single_agent_params(**kw):
@@ -240,6 +240,23 @@ class TestSimulate:
         assert ds.analysis_track() is ds.unwrapped
         assert replace(ds, unwrapped=None).analysis_track() is ds.wrapped
 
+    @pytest.mark.parametrize(
+        "box,message",
+        [
+            ({"half_width": 3.0}, "half_width and half_height must be given together"),
+            ({"half_height": 3.0}, "half_width and half_height must be given together"),
+            ({"half_width": 0.0, "half_height": 3.0}, "half_width must be positive and finite"),
+            ({"half_width": 3.0, "half_height": -1.0}, "half_height must be positive and finite"),
+            ({"half_width": math.inf, "half_height": 3.0}, "half_width must be positive and finite"),
+            ({"half_width": 3.0, "half_height": math.nan}, "half_height must be positive and finite"),
+        ],
+        ids=["width-only", "height-only", "zero", "negative", "inf", "nan"],
+    )
+    def test_dataset_rejects_a_partial_or_invalid_box(self, box, message):
+        # the box decides whether matching is periodic, so half a box is an error
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sim.TrajectoryDataset(wrapped=np.zeros((2, 3, 2)), **box)
+
 
 class TestParamValidation:
     def test_noise_bounds_must_be_ordered(self):
@@ -349,16 +366,14 @@ class TestDenseOracle:
         L, H = 3.0, 2.0
         xs, ys = np.meshgrid(np.arange(-3.0, 3.0), np.arange(-2.0, 2.0))
         pos = np.column_stack((xs.ravel(), ys.ravel()))
-        got = sim.neighbors_within(pos, radius, L, H)
-        assert [list(a) for a in got] == brute_neighbors(pos, radius, L, H)
+        assert neighbor_lists(pos, radius, L, H) == brute_neighbors(pos, radius, L, H)
 
     def test_lattice_outside_the_box_and_at_the_fold(self):
         # positions given outside [-L, L) x [-H, H), and a coordinate a hair
         # below a box multiple, which np.mod rounds up to the box edge
         L, H = 3.0, 2.0
         pos = np.array([[-1e-17, 0.0], [6.0, 1.0], [-3.0, -2.0], [9.0, 2.0], [2.0, -4.0], [1.0, 0.0]])
-        got = sim.neighbors_within(pos, 1.0, L, H)
-        assert [list(a) for a in got] == brute_neighbors(pos, 1.0, L, H)
+        assert neighbor_lists(pos, 1.0, L, H) == brute_neighbors(pos, 1.0, L, H)
 
     def test_pair_a_hair_beyond_the_radius_is_excluded(self):
         # four ulps past the radius, inside the box and across the seam; every
@@ -366,16 +381,8 @@ class TestDenseOracle:
         L, H = 3.0, 2.0
         beyond = 1.0 + 4 * np.finfo(float).eps
         pos = np.array([[0.0, 0.0], [beyond, 0.0], [-L, 1.0], [L - beyond, 1.0]])
-        got = sim.neighbors_within(pos, 1.0, L, H)
-        assert [list(a) for a in got] == [[0], [1], [2], [3]]
+        assert neighbor_lists(pos, 1.0, L, H) == [[0], [1], [2], [3]]
         assert brute_neighbors(pos, 1.0, L, H) == [[0], [1], [2], [3]]
 
     def test_no_agents_gives_no_neighbor_sets(self):
-        assert sim.neighbors_within(np.zeros((0, 2)), 1.0, 3.0, 2.0) == []
-
-    def test_non_periodic_matches_brute_force(self):
-        rng = np.random.default_rng(12)
-        pos = np.round(rng.uniform(-4, 4, size=(40, 2)))
-        got = sim.neighbors_within(pos, 1.0, periodic=False)
-        # a box far larger than the points makes the minimum image the plain difference
-        assert [list(a) for a in got] == brute_neighbors(pos, 1.0, 1e6, 1e6)
+        assert neighbor_lists(np.zeros((0, 2)), 1.0, 3.0, 2.0) == []

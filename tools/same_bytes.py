@@ -63,15 +63,14 @@ ARGUMENT_SETS = {
     "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
     "split-rejoin": [*SPLIT, "--n-agents", "60", "--seed", "201"],
     "split-rejoin-dt1": [*SPLIT, "--n-agents", "100", "--dt", "1.0", "--seed", "201"],
+    # 120 agents in a 2.5 x 1.5 box: a dense minimum-image match of the wrapped track
     "periodic-box": [
         *SPEED, "--n-agents", "120", "--half-width", "1.25", "--half-height", "0.75",
-        "--dt", "2.0", "--periodic-matching", "--seed", "6",
+        "--dt", "2.0", "--no-prefer-unwrapped", "--seed", "6",
     ],
-    "wrapped-dump": [
-        *SPEED, "--n-agents", "40", "--seed", "5",
-        "--no-prefer-unwrapped", "--periodic-matching", "--dump-correspondence",
-    ],
-    # the wrapped track crosses the box edge: X moves by up to 0.30 against the unwrapped one
+    "wrapped-dump": [*SPEED, "--n-agents", "40", "--seed", "5", "--no-prefer-unwrapped", "--dump-correspondence"],
+    # the wrapped track crosses the box edge: speed and P match the unwrapped run's, but
+    # epsilon and C still use plain distances and move X by up to 0.067 against it
     "wrapped-edge": [
         *SPEED, "--n-agents", "10", "--seed", "5", "--half-width", "3", "--half-height", "3",
         "--dt", "1.0", "--no-prefer-unwrapped",
@@ -84,7 +83,7 @@ ARGUMENT_SETS = {
     # settings the command never reads, each written out at its default
     "explicit-defaults-simulate": [
         "simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2",
-        "--k", "7", "--dmax", "10", "--canonicalize", "--no-periodic-matching", "--no-dump-correspondence",
+        "--k", "7", "--dmax", "10", "--canonicalize", "--no-dump-correspondence",
     ],
     "explicit-defaults-isomap": ["isomap", "--input", "{wrapped}", "--min-len", "10", "--merge-tol", "0.1", "--prefer-unwrapped"],
     # no dimension reaches the threshold: a 12-column embedding, a 12-row curve, a ManifoldWarning
