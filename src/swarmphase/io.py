@@ -166,8 +166,11 @@ def save_distance_pgm(path, delta: np.ndarray) -> None:
     if mat.ndim != 2:
         raise ValueError("distance matrix must be 2-D")
     peak = mat.max()
+    # scaled, rounded and clipped in the one buffer mat / peak makes
     scaled = mat / peak if peak > 0 else np.zeros_like(mat)
-    pixels = np.rint(255.0 * scaled).clip(0, 255).astype(np.uint8)
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    pixels = scaled.clip(0, 255, out=scaled).astype(np.uint8)
     header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())
 

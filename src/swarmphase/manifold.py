@@ -26,6 +26,11 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
 
+# _mds_spectrum symmetrises the Gram matrix this many rows at a time:
+# ``gram += gram.T`` would copy the whole matrix to resolve the overlap
+_SYMMETRISE_ROWS = 64
+
+
 class ManifoldWarning(UserWarning):
     """Raised for degenerate spectra or unreachable residual thresholds."""
 
@@ -135,13 +140,27 @@ def _mds_spectrum(distances: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarr
     (the ``numpy.linalg.matrix_rank`` rule), rounding noise or negative, is
     returned as 0; ``classical_mds`` and ``isomap`` share this rule.
     """
-    d2 = np.asarray(distances, dtype=float) ** 2
-    row = d2.mean(axis=1, keepdims=True)
-    col = d2.mean(axis=0, keepdims=True)
-    gram = -0.5 * (d2 - row - col + d2.mean())
-    gram = 0.5 * (gram + gram.T)
+    # squared into a new buffer, then centred in place step by step, in the
+    # rounding order of -0.5 * (d2 - row - col + mean)
+    gram = np.asarray(distances, dtype=float) ** 2
+    row = gram.mean(axis=1, keepdims=True)
+    col = gram.mean(axis=0, keepdims=True)
+    mean = gram.mean()
+    gram -= row
+    gram -= col
+    gram += mean
+    gram *= -0.5
     n = gram.shape[0]
-    evals, evecs = eigh(gram, subset_by_index=(n - top, n - 1))
+    # eigh reads only the lower triangle of gram.T (lower=True), the Fortran
+    # order that LAPACK overwrites without a copy of its own. That triangle
+    # is gram's upper one, set to 0.5 * (g + g.T) a band of rows at a time;
+    # later bands read only rows and columns past the band.
+    for lo in range(0, n, _SYMMETRISE_ROWS):
+        hi = min(lo + _SYMMETRISE_ROWS, n)
+        band = gram[lo:hi, lo:] + gram[lo:, lo:hi].T
+        band *= 0.5
+        gram[lo:hi, lo:] = band
+    evals, evecs = eigh(gram.T, subset_by_index=(n - top, n - 1), overwrite_a=True)
     # eigh returns ascending eigenvalues; reversed views give descending order
     evals, evecs = evals[::-1], evecs[:, ::-1]
     evals = np.where(evals > abs(evals[0]) * n * np.finfo(float).eps, evals, 0.0)

@@ -187,7 +187,8 @@ def distance_matrix(series: np.ndarray) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series must be nonempty")
-    return np.abs(x[:, None] - x[None, :])
+    delta = np.subtract.outer(x, x)
+    return np.abs(delta, out=delta)
 
 
 def compute_observables(

@@ -310,7 +310,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         weight_polarization=config.xi2,
         epsilon_mode=config.epsilon_mode,
     )
-    delta = _stage("observables", distance_matrix, series.coarse)
 
     segmentation = _stage("segment", segment_series, series.coarse, config.min_len)
     segmentation = _stage("segment", label_manifolds, segmentation, config.merge_tol)
@@ -328,6 +327,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     run.write_trajectories(dataset)
     run.write("observables", "observables.csv", io_.save_observables_csv, series)
+    # the T x T image is built only now, after every Isomap has freed its
+    # arrays, so it never shares the peak with them
+    delta = _stage("observables", distance_matrix, series.coarse)
     run.write("distance_image", "distance.pgm", io_.save_distance_pgm, delta)
     dims = [None if r is None else r.dimension for r in segment_reports]
     run.write("segments", "segments.csv", io_.save_segments_csv, segmentation, dims)

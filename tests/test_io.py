@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,13 @@ class TestTrajectoryCsv:
             io_.load_trajectory_csv(path)
 
 
+def full_buffer_pgm_pixels(delta):
+    """The PGM pixels through one full-size temporary per operation."""
+    peak = delta.max()
+    scaled = delta / peak if peak > 0 else np.zeros_like(delta)
+    return np.rint(255.0 * scaled).clip(0, 255).astype(np.uint8).tobytes()
+
+
 class TestDistancePgm:
     def test_all_zero_matrix_is_black(self, tmp_path):
         path = tmp_path / "d.pgm"
@@ -119,6 +127,38 @@ class TestDistancePgm:
         io_.save_distance_pgm(p1, delta)
         io_.save_distance_pgm(p2, delta)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            observables.distance_matrix(np.random.default_rng(3).random(40)),
+            np.random.default_rng(4).random((7, 5)),
+            np.zeros((6, 6)),
+            np.zeros((1, 1)),
+            np.array([[0.25]]),
+        ],
+        ids=["random-series", "random-rectangle", "all-zero", "1x1-zero", "1x1"],
+    )
+    def test_pixels_match_the_full_buffer_scaling(self, tmp_path, delta):
+        kept = delta.copy()
+        path = tmp_path / "d.pgm"
+        io_.save_distance_pgm(path, delta)
+        header = f"P5\n{delta.shape[1]} {delta.shape[0]}\n255\n".encode("ascii")
+        assert path.read_bytes() == header + full_buffer_pgm_pixels(delta)
+        assert np.array_equal(delta, kept)
+
+    def test_peak_memory_stays_near_one_matrix(self, tmp_path):
+        # one scaled buffer, scaled, rounded and clipped in place; the chained
+        # expression peaked at 3.0 matrices
+        n = 599
+        delta = observables.distance_matrix(np.random.default_rng(5).random(n))
+        tracemalloc.start()
+        try:
+            io_.save_distance_pgm(tmp_path / "d.pgm", delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * n * n * 8
 
 
 class TestOtherWriters:

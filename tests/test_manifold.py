@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist, squareform
@@ -471,3 +473,62 @@ def test_mds_spectrum_returns_the_top_eigenpairs(request):
     assert np.abs(evecs.T @ evecs - np.eye(top)).max() <= 1e-9
     # sign rule: the largest-magnitude entry of each axis, the first of equals, is positive
     assert np.all(evecs[np.argmax(np.abs(evecs), axis=0), np.arange(top)] > 0.0)
+
+
+def full_buffer_mds_spectrum(distances, top):
+    """``_mds_spectrum`` through the reference Gram matrix, built with full-size temporaries."""
+    gram = double_centred_gram(distances)
+    n = gram.shape[0]
+    evals, evecs = eigh(gram, subset_by_index=(n - top, n - 1))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    evals = np.where(evals > abs(evals[0]) * n * np.finfo(float).eps, evals, 0.0)
+    peaks = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(top)]
+    return evals, evecs * np.where(peaks < 0.0, -1.0, 1.0)
+
+
+def assert_same_bits_as_full_buffer_spectrum(distances, top):
+    kept = distances.copy()
+    evals, evecs = manifold._mds_spectrum(distances, top)
+    want_evals, want_evecs = full_buffer_mds_spectrum(distances, top)
+    assert np.array_equal(evals, want_evals)
+    assert np.array_equal(evecs, want_evecs)
+    assert np.array_equal(distances, kept)
+
+
+# 63, 64 and 65 sit around the symmetrisation band of 64 rows
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 200])
+def test_mds_spectrum_bits_match_the_full_buffer_gram(n):
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, 4))
+    distances = squareform(pdist(pts))
+    if n > 3:
+        # geodesics are not Euclidean, so the Gram matrix has negative eigenvalues
+        distances = manifold.geodesic_distances(manifold.knn_graph(pts, 4))
+    assert_same_bits_as_full_buffer_spectrum(distances, min(10, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_distances(), st.integers(1, 10))
+def test_mds_spectrum_bits_match_the_full_buffer_gram_with_ties(distances, top):
+    assert_same_bits_as_full_buffer_spectrum(distances, min(top, distances.shape[0] - 1))
+
+
+def test_classical_mds_leaves_its_input_unchanged():
+    distances = squareform(pdist(np.random.default_rng(5).normal(size=(30, 3))))
+    kept = distances.copy()
+    manifold.classical_mds(distances, 3)
+    assert np.array_equal(distances, kept)
+
+
+def test_mds_spectrum_peak_memory_stays_near_one_matrix():
+    # the Gram matrix is built and solved in the squared buffer; the full-size
+    # temporaries it used to go through peaked at 3.09 matrices
+    n = 599
+    distances = squareform(pdist(np.random.default_rng(6).normal(size=(n, 5))))
+    tracemalloc.start()
+    try:
+        manifold._mds_spectrum(distances, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * n * n * 8

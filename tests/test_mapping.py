@@ -447,6 +447,19 @@ def test_velocities_match_the_per_pair_loop_above_16_agents(case):
     test_velocities_match_the_per_pair_loop.hypothesis.inner_test(case)
 
 
+@BOXES
+def test_velocities_match_the_per_pair_loop_across_frame_blocks(box_size):
+    # 150 agents are matched 27 frame pairs at a time: 89 pairs span 4 blocks
+    n_frames, n = 90, 150
+    assert n_frames - 1 > 3 * (mapping._BLOCK_AGENTS // n)
+    rng = np.random.default_rng(17)
+    steps = rng.normal(scale=0.05, size=(n_frames, n, 2))
+    track = rng.uniform(-2.0, 2.0, size=(1, n, 2)) + np.cumsum(steps, axis=0)
+    if box_size is not None:
+        track = sim.wrap_positions(track, box_size[0] / 2.0, box_size[1] / 2.0)
+    test_velocities_match_the_per_pair_loop.hypothesis.inner_test((track, box_size))
+
+
 def test_velocities_use_the_box_only_on_a_wrapped_track():
     # one agent steps (1, 3) in a 4 x 4 box and crosses its right edge
     unwrapped = np.array([[[1.5, 0.0]], [[2.5, 3.0]]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -250,6 +251,24 @@ class TestDistanceMatrix:
         lhs = d[:, None, :]
         rhs = d[:, :, None] + d[None, :, :]
         assert np.all(lhs <= rhs + 1e-15)
+
+
+    def test_bits_match_the_broadcast_difference(self):
+        x = np.random.default_rng(8).random(50)
+        assert np.array_equal(observables.distance_matrix(x), np.abs(x[:, None] - x[None, :]))
+
+    def test_peak_memory_is_one_matrix(self):
+        # the differences are taken in the output buffer; the broadcast
+        # expression held two matrices
+        n = 599
+        x = np.random.default_rng(9).random(n)
+        tracemalloc.start()
+        try:
+            observables.distance_matrix(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n * n * 8
 
 
 class TestComponentSeriesBlocks:

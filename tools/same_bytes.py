@@ -46,6 +46,17 @@ from swarmphase import io
 io.save_trajectory_csv(sys.argv[1], np.zeros((30, 3, 2)))
 """
 
+# 8 agents that never move over 40 frames: speed and P are 0 and X is
+# constant, so the distance image, the Gram matrices and the residual's
+# correlation all take their all-zero branches
+MAKE_STATIC = """
+import sys
+import numpy as np
+from swarmphase import io
+agents = np.column_stack([np.arange(8.0), np.arange(8.0) % 3])
+io.save_trajectory_csv(sys.argv[1], np.broadcast_to(agents, (40, 8, 2)))
+"""
+
 SPEED = ["run", "--scenario", "speed-switch"]
 NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
@@ -94,6 +105,7 @@ ARGUMENT_SETS = {
     "one-agent": ["analyze", "--input", "{agent}"],
     # exits 1 at observables: epsilon is 0
     "coincident": ["analyze", "--input", "{coincident}", "--min-len", "2"],
+    "static": ["analyze", "--input", "{static}", "--min-len", "5"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
@@ -123,6 +135,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
          "--n-steps", "120", "--seed", "3", "--out", str(dest / "agent")],
         ["-c", MAKE_COLLAPSE, str(dest / "collapse.csv")],
         ["-c", MAKE_COINCIDENT, str(dest / "coincident.csv")],
+        ["-c", MAKE_STATIC, str(dest / "static.csv")],
     ]
     for args in steps:
         done = python(src, args, dest)
@@ -134,6 +147,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "wrapped": str(dest / "sim" / "trajectory.csv"),
         "collapse": str(dest / "collapse.csv"),
         "coincident": str(dest / "coincident.csv"),
+        "static": str(dest / "static.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
