@@ -26,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .sim import into_box, minimum_image
-
 
 # velocities matches runs of frame pairs holding about this many agents at
 # once: every pair's (N, 2) arrays of a run are alive together, and one run
@@ -73,43 +71,30 @@ def _frame_pair(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     return pair[0], pair[1]
 
 
-def _as_box(box_size: tuple[float, float] | None) -> np.ndarray | None:
-    return np.asarray(box_size, dtype=float) if box_size is not None else None
+def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Nearest target index for every source agent, by plain Euclidean distance.
 
-
-def _box_displacements(deltas: np.ndarray, box_size: np.ndarray | None) -> np.ndarray:
-    if box_size is None:
-        return deltas
-    return minimum_image(deltas, box_size[0] / 2.0, box_size[1] / 2.0)
-
-
-def nearest_neighbor_map(
-    source: np.ndarray, target: np.ndarray, box_size: tuple[float, float] | None = None
-) -> np.ndarray:
-    """Nearest target index for every source agent.
-
-    Distance ties are broken toward the lowest target index. When
-    ``box_size`` is given, distances use the periodic minimum image and all
-    coordinates are interpreted modulo the box.
+    Distance ties are broken toward the lowest target index. Coordinates are
+    taken as they are, never folded into a periodic domain, so a track that
+    wraps should be given unwrapped.
     """
     source, target = _frame_pair(source, target)
-    return _nearest(source[None], target[None], _as_box(box_size))[0]
+    return _nearest(source[None], target[None])[0]
 
 
-def _nearest(source: np.ndarray, target: np.ndarray, box: np.ndarray | None) -> np.ndarray:
+def _nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, ``(P, N)`` out."""
     n_pairs, n = source.shape[:2]
-    tree_source, tree_target = (source, target) if box is None else (into_box(source, box), into_box(target, box))
     candidates = np.empty((n_pairs, n), dtype=int)
     tied = np.empty((n_pairs, n), dtype=bool)
     for f in range(n_pairs):
-        dist, idx = cKDTree(tree_target[f], boxsize=box).query(tree_source[f], k=2)
+        dist, idx = cKDTree(target[f]).query(source[f], k=2)
         candidates[f], tied[f] = idx[:, 0], dist[:, 0] == dist[:, 1]
 
     # An exact distance tie makes the KD-tree's pick order-dependent; redo
     # those rows by brute force so the lowest index always wins.
     frames, rows = np.nonzero(tied)
-    deltas = _box_displacements(target[frames] - source[frames, rows][:, None], box)
+    deltas = target[frames] - source[frames, rows][:, None]
     candidates[frames, rows] = np.argmin(np.einsum("kij,kij->ki", deltas, deltas), axis=1)
     return candidates
 
@@ -138,7 +123,6 @@ def _residual_match(
     source: np.ndarray,
     target: np.ndarray,
     mean_velocity: np.ndarray,
-    box: np.ndarray | None,
 ) -> None:
     """Greedy assignment of every frame's leftover sources, in place.
 
@@ -162,7 +146,7 @@ def _residual_match(
         frames = np.flatnonzero(counts > r)
         rows = sources[frames, r]
         options = free[frames]
-        deltas = _box_displacements(target[frames[:, None], options] - source[frames, rows][:, None], box)
+        deltas = target[frames[:, None], options] - source[frames, rows][:, None]
         deltas -= mean_velocity[frames][:, None]
         d2 = np.einsum("kij,kij->ki", deltas, deltas)
         d2[closed[frames]] = np.inf
@@ -174,14 +158,14 @@ def _residual_match(
         closed[frames, best] = True
 
 
-def _match(source: np.ndarray, target: np.ndarray, box: np.ndarray | None, first_step: int) -> list[CorrespondenceMap]:
+def _match(source: np.ndarray, target: np.ndarray, first_step: int) -> list[CorrespondenceMap]:
     """Correspondence maps of P frame pairs at once, given as ``(P, N, 2)`` arrays."""
     n_pairs, n = source.shape[:2]
     if n == 0:
         raise ValueError("correspondence needs at least 1 agent per frame, found 0")
     pair = np.arange(n_pairs)[:, None]
-    candidates = _nearest(source, target, box)
-    cand_disp = _box_displacements(target[pair, candidates] - source, box)
+    candidates = _nearest(source, target)
+    cand_disp = target[pair, candidates] - source
     # the frame is the outermost key, so each frame keeps its own closest claimants
     mask = extract_bijective_domain(
         (candidates + n * pair).ravel(), np.linalg.norm(cand_disp, axis=2).ravel()
@@ -195,9 +179,9 @@ def _match(source: np.ndarray, target: np.ndarray, box: np.ndarray | None, first
     mu1 = np.stack(domain_sums, axis=1) / np.bincount(accepted_frame)[:, None]
 
     permutation, velocities = candidates, cand_disp
-    _residual_match(permutation, ~mask, source, target, mu1, box)
+    _residual_match(permutation, ~mask, source, target, mu1)
     frames, rows = np.nonzero(~mask)
-    velocities[frames, rows] = _box_displacements(target[frames, permutation[frames, rows]] - source[frames, rows], box)
+    velocities[frames, rows] = target[frames, permutation[frames, rows]] - source[frames, rows]
     mean_velocity = velocities.mean(axis=1)
     return [
         CorrespondenceMap(
@@ -212,31 +196,22 @@ def _match(source: np.ndarray, target: np.ndarray, box: np.ndarray | None, first
     ]
 
 
-def correspond(
-    source: np.ndarray,
-    target: np.ndarray,
-    step: int = 1,
-    box_size: tuple[float, float] | None = None,
-) -> CorrespondenceMap:
+def correspond(source: np.ndarray, target: np.ndarray, step: int = 1) -> CorrespondenceMap:
     """Full bijective correspondence between two consecutive frames."""
     source, target = _frame_pair(source, target)
-    return _match(source[None], target[None], _as_box(box_size), step)[0]
+    return _match(source[None], target[None], step)[0]
 
 
 def velocities(dataset) -> list[CorrespondenceMap]:
     """Correspondence maps for every consecutive frame pair of the dataset's analysis track.
 
     Emits a ``LowConfidenceMatchWarning`` for steps where fewer than half the
-    agents matched without conflicts. Distances use the minimum image of the
-    dataset's box when the analysis track is the wrapped track of a known box,
-    and are plain otherwise (an unwrapped track, or data loaded without a box).
+    agents matched without conflicts. Distances are plain on either track: a
+    wrapped track is matched as it stands, wrap jumps included.
     """
     track = dataset.analysis_track()
     if track.shape[0] < 2:
         raise ValueError("need at least 2 frames")
-    box = None
-    if dataset.unwrapped is None and dataset.half_width is not None:
-        box = np.array([2.0 * dataset.half_width, 2.0 * dataset.half_height])
     n = track.shape[1]
     # max(n, 1): an empty track reaches _match, which rejects it by agent count
     block = max(_BLOCK_AGENTS // max(n, 1), 1)
@@ -244,7 +219,7 @@ def velocities(dataset) -> list[CorrespondenceMap]:
     maps = []
     for start in range(0, len(sources), block):
         chunk = slice(start, start + block)
-        maps.extend(_match(sources[chunk], targets[chunk], box, start + 1))
+        maps.extend(_match(sources[chunk], targets[chunk], start + 1))
     for m in maps:
         matched = int(m.bijective.sum())
         if matched < n / 2:

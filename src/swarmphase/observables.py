@@ -43,7 +43,6 @@ class ObservableSeries:
     weight_speed: float
     weight_polarization: float
     epsilon: float
-    n_agents: int
 
 
 def group_speed_series(maps) -> np.ndarray:
@@ -223,5 +222,4 @@ def compute_observables(
         weight_speed=weight_speed,
         weight_polarization=weight_polarization,
         epsilon=epsilon,
-        n_agents=dataset.n_agents,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import io as io_
@@ -64,7 +64,6 @@ class PipelineConfig:
     half_height: float | None = None
     dt: float | None = None
     canonicalize: bool = True
-    prefer_unwrapped: bool = True
     dump_correspondence: bool = False
 
     def validate(self) -> None:
@@ -110,8 +109,6 @@ class PipelineConfig:
 
     def reject_unread(self, command: str) -> None:
         """Reject a non-default setting the command never reads; call it after the command's own checks."""
-        if self.input_path is not None:  # a loaded CSV has no unwrapped track
-            self._reject_non_default(("prefer_unwrapped",), _INPUT_ONLY)
         self._reject_non_default(_UNREAD.get(command, ()), f"the {command} command does not read this setting")
 
     def _reject_non_default(self, keys: tuple[str, ...], reason: str) -> None:
@@ -145,7 +142,7 @@ SETTINGS = {
 # config keys a command never reads; each must keep its default
 _UNREAD = {
     "simulate": ("xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol", "canonicalize",
-                 "prefer_unwrapped", "dump_correspondence"),
+                 "dump_correspondence"),
     "isomap": ("xi1", "xi2", "epsilon_mode", "min_len", "merge_tol", "dump_correspondence"),
 }
 
@@ -296,15 +293,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     config.reject_unread("run")
     dataset = run.load()
-    # every stage analyses the same track; dropping the unwrapped one copies
-    # nothing and makes the matching use the box's minimum image
-    analysed = dataset if config.prefer_unwrapped else replace(dataset, unwrapped=None)
 
-    maps = _stage("mapping", velocities, analysed)
+    maps = _stage("mapping", velocities, dataset)
     series = _stage(
         "observables",
         compute_observables,
-        analysed,
+        dataset,
         maps,
         weight_speed=config.xi1,
         weight_polarization=config.xi2,
@@ -314,7 +308,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     segmentation = _stage("segment", segment_series, series.coarse, config.min_len)
     segmentation = _stage("segment", label_manifolds, segmentation, config.merge_tol)
 
-    points = run.configurations(analysed, maps)[:-1]
+    points = run.configurations(dataset, maps)[:-1]
     segment_reports, full_report = _stage(
         "manifold",
         per_segment_isomap,

@@ -39,9 +39,7 @@ class Segment:
 @dataclass
 class PhaseSegmentation:
     segments: list[Segment]
-    min_length: int
     split_value: float | None
-    merge_tolerance: float | None = None
 
     @property
     def boundaries(self) -> list[int]:
@@ -116,7 +114,7 @@ def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentatio
         Segment(start=start + 1, end=end, mean_value=float(v[start:end].mean()))
         for start, end in zip(bounds, bounds[1:])
     ]
-    return PhaseSegmentation(segments=segments, min_length=min_length, split_value=split)
+    return PhaseSegmentation(segments=segments, split_value=split)
 
 
 def label_manifolds(segmentation: PhaseSegmentation, tolerance: float = 0.1) -> PhaseSegmentation:
@@ -140,7 +138,7 @@ def label_manifolds(segmentation: PhaseSegmentation, tolerance: float = 0.1) -> 
             representatives.append(seg.mean_value)
             label = len(representatives)
         labeled.append(replace(seg, label=label))
-    return replace(segmentation, segments=labeled, merge_tolerance=tolerance)
+    return replace(segmentation, segments=labeled)
 
 
 def per_segment_isomap(

@@ -17,7 +17,7 @@ Three ready-made schedules are provided:
   bump-shaped reference path, so the group splits into two and later merges.
 
 The simulator records both wrapped positions (inside the box) and unwrapped
-positions (raw accumulated displacement); downstream analysis prefers the
+positions (raw accumulated displacement); downstream analysis reads the
 unwrapped track so that velocities are not corrupted by wrap jumps.
 """
 
@@ -129,15 +129,13 @@ class TrajectoryDataset:
 
     ``wrapped`` holds in-box positions, shape ``(T, N, 2)``. ``unwrapped``
     holds raw accumulated displacements when the data came from the
-    simulator, otherwise ``None`` (e.g. data loaded from CSV).
-    ``half_width`` and ``half_height`` give the periodic box, both or
-    neither; ``mapping.velocities`` matches a wrapped track through it.
+    simulator, otherwise ``None`` (e.g. data loaded from CSV). Analysis
+    measures plain distances on either track, so a wrapped track keeps its
+    wrap jumps.
     """
 
     wrapped: np.ndarray
     unwrapped: np.ndarray | None = None
-    half_width: float | None = None
-    half_height: float | None = None
 
     def __post_init__(self) -> None:
         self.wrapped = np.asarray(self.wrapped, dtype=float)
@@ -147,12 +145,6 @@ class TrajectoryDataset:
             self.unwrapped = np.asarray(self.unwrapped, dtype=float)
             if self.unwrapped.shape != self.wrapped.shape:
                 raise ValueError("wrapped and unwrapped tracks must have identical shape")
-        if (self.half_width is None) != (self.half_height is None):
-            raise ValueError("half_width and half_height must be given together")
-        for key in ("half_width", "half_height"):
-            value = getattr(self, key)
-            if value is not None and not (0 < value < math.inf):
-                raise ValueError(f"{key} must be positive and finite")
 
     @property
     def n_frames(self) -> int:
@@ -264,12 +256,7 @@ def simulate(params: SimParams) -> TrajectoryDataset:
             wrapped[k], unwrapped[k], headings, params, k, rng
         )
 
-    return TrajectoryDataset(
-        wrapped=wrapped,
-        unwrapped=unwrapped,
-        half_width=params.half_width,
-        half_height=params.half_height,
-    )
+    return TrajectoryDataset(wrapped=wrapped, unwrapped=unwrapped)
 
 
 # ---------------------------------------------------------------------------

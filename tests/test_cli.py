@@ -1,11 +1,10 @@
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmphase import cli, io as io_, mapping, observables, pipeline, sim
+from swarmphase import cli, io as io_, observables, pipeline, sim
 
 
 def small_run_args(out_dir, seed=7):
@@ -120,25 +119,6 @@ class TestRunPipeline:
         assert lines[0] == "t,source,target,bijective,vx,vy"
         assert len(lines) == 1 + 104 * 6
 
-    def test_no_prefer_unwrapped_analyses_the_wrapped_track(self, tmp_path):
-        # a small box, so the group wraps: matched through the box, the wrapped
-        # track gives the unwrapped one's speed and P, but its epsilon and C differ
-        config = pipeline.PipelineConfig(
-            scenario="speed-switch", seed=5, n_agents=10, n_steps=105, half_width=3.0, half_height=3.0, dt=1.0,
-            prefer_unwrapped=False, out_dir=str(tmp_path / "out"),
-        )
-        result = pipeline.run_pipeline(config)
-        series = {}
-        for name, dataset in (("wrapped", replace(result.dataset, unwrapped=None)), ("unwrapped", result.dataset)):
-            series[name] = observables.compute_observables(dataset, mapping.velocities(dataset))
-            io_.save_observables_csv(tmp_path / f"{name}.csv", series[name])
-        written = result.artifacts["observables"].read_bytes()
-        assert written == (tmp_path / "wrapped.csv").read_bytes()
-        assert written != (tmp_path / "unwrapped.csv").read_bytes()
-        for field in ("speed", "polarization"):
-            got, want = getattr(series["wrapped"], field), getattr(series["unwrapped"], field)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
 
 class TestCliCommands:
     def test_run_writes_artifacts_and_returns_zero(self, tmp_path, capsys):
@@ -242,12 +222,11 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
 
-# Today's 20 config keys, in declaration order; a renamed key fails here.
+# Today's 19 config keys, in declaration order; a renamed key fails here.
 CONFIG_KEYS = [
     "scenario", "input", "seed", "xi1", "xi2", "epsilon_mode", "k", "dmax",
     "threshold", "min_len", "merge_tol", "out", "n_agents", "n_steps",
-    "half_width", "half_height", "dt", "canonicalize", "prefer_unwrapped",
-    "dump_correspondence",
+    "half_width", "half_height", "dt", "canonicalize", "dump_correspondence",
 ]
 
 # (config key, field, config-file value, CLI args, expected field value);
@@ -272,8 +251,6 @@ ROUTES = [
     ("dt", "dt", "0.5", ["--dt", "0.5"], 0.5),
     ("canonicalize", "canonicalize", "off", ["--no-canonicalize"], False),
     ("canonicalize", "canonicalize", "on", ["--canonicalize"], True),
-    ("prefer_unwrapped", "prefer_unwrapped", "no", ["--no-prefer-unwrapped"], False),
-    ("prefer_unwrapped", "prefer_unwrapped", "yes", ["--prefer-unwrapped"], True),
     ("dump_correspondence", "dump_correspondence", "on", ["--dump-correspondence"], True),
     ("dump_correspondence", "dump_correspondence", "off", ["--no-dump-correspondence"], False),
 ]
@@ -357,11 +334,28 @@ class TestSettingsThatDoNothingAreRejected:
     # the analysed track decides whether matching is periodic
     @pytest.mark.parametrize("flag", ["--periodic-matching", "--no-periodic-matching"])
     def test_periodic_matching_flag_is_gone(self, tmp_path, capsys, flag):
-        argv = ["run", "--scenario", "speed-switch", "--no-prefer-unwrapped", flag, "--out", str(tmp_path / "out")]
+        argv = ["run", "--scenario", "speed-switch", flag, "--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # every stage reads the unwrapped track when there is one
+    @pytest.mark.parametrize("flag", ["--prefer-unwrapped", "--no-prefer-unwrapped"])
+    def test_prefer_unwrapped_flag_is_gone(self, tmp_path, capsys, flag):
+        argv = ["run", "--scenario", "speed-switch", flag, "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_prefer_unwrapped_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = speed-switch\nprefer_unwrapped = no\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "swarmphase: error: unknown config key 'prefer_unwrapped'\n"
         assert not (tmp_path / "out").exists()
 
     def test_periodic_matching_config_key_is_gone(self, tmp_path, capsys):
@@ -470,14 +464,13 @@ class TestWarningsOnStderr:
 # Settings a command never reads, by config key; each is rejected unless left at its default.
 SIMULATE_UNREAD = [
     "xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol",
-    "canonicalize", "prefer_unwrapped", "dump_correspondence",
+    "canonicalize", "dump_correspondence",
 ]
 ISOMAP_UNREAD = ["xi1", "xi2", "epsilon_mode", "min_len", "merge_tol", "dump_correspondence"]
 # the ROUTES entry of each key whose value differs from the field's default
 NON_DEFAULT = {
     key: (raw, args) for key, _, raw, args, expected in ROUTES if expected != pipeline.SETTINGS[key][0].default
 }
-INPUT_ONLY = "applies only to a simulated scenario, not to an input file"
 
 
 @pytest.fixture(scope="module")
@@ -492,8 +485,6 @@ def unread_cases():
         message = f"the {command} command does not read this setting"
         for key in keys:
             yield pytest.param(command, key, message, id=f"{command}-{key}")
-    for command in ("run", "analyze", "isomap"):
-        yield pytest.param(command, "prefer_unwrapped", INPUT_ONLY, id=f"{command}-input-prefer_unwrapped")
 
 
 def command_args(command, csv):
@@ -536,13 +527,11 @@ class TestUnreadSettingsAreRejected:
             pipeline.run_simulate(pipeline.PipelineConfig(scenario="speed-switch", merge_tol=0.5, out_dir=out))
         with pytest.raises(pipeline.ConfigError, match="^xi2: the isomap command does not read this setting$"):
             pipeline.run_isomap(pipeline.PipelineConfig(input_path=small_csv, xi2=0.5, out_dir=out))
-        with pytest.raises(pipeline.ConfigError, match=f"^prefer_unwrapped: {INPUT_ONLY}$"):
-            pipeline.run_pipeline(pipeline.PipelineConfig(input_path=small_csv, prefer_unwrapped=False, out_dir=out))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command,keys",
-        [("simulate", SIMULATE_UNREAD), ("isomap", ISOMAP_UNREAD + ["prefer_unwrapped"]), ("analyze", ["prefer_unwrapped"])],
+        [("simulate", SIMULATE_UNREAD), ("isomap", ISOMAP_UNREAD)],
     )
     def test_explicit_defaults_are_accepted(self, tmp_path, capsys, small_csv, command, keys):
         cfg = tmp_path / "defaults.cfg"
@@ -558,11 +547,11 @@ class TestUnreadSettingsAreRejected:
 
     def test_configs_rejected_before_keep_their_message(self, tmp_path, capsys):
         # the simulate command's own check comes first
-        argv = ["simulate", "--input", "x.csv", "--k", "3", "--no-prefer-unwrapped", "--out", str(tmp_path / "out")]
+        argv = ["simulate", "--input", "x.csv", "--k", "3", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "swarmphase: error: scenario: the simulate command needs a scenario name\n"
-        # validate's checks come first too
-        argv = ["analyze", "--input", "x.csv", "--no-prefer-unwrapped", "--xi1", "nan", "--out", str(tmp_path / "out")]
+        # validate's checks come first too; isomap never reads min_len
+        argv = ["isomap", "--input", "x.csv", "--min-len", "5", "--xi1", "nan", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "swarmphase: error: xi1: must be finite\n"
         assert not (tmp_path / "out").exists()

@@ -171,7 +171,6 @@ class TestOtherWriters:
             weight_speed=1 / 3,
             weight_polarization=1 / 3,
             epsilon=1.5,
-            n_agents=10,
         )
         path = tmp_path / "obs.csv"
         io_.save_observables_csv(path, series)
@@ -182,9 +181,7 @@ class TestOtherWriters:
     def test_segments_csv(self, tmp_path):
         seg = PhaseSegmentation(
             segments=[Segment(1, 49, 0.5, label=1), Segment(50, 99, 0.66, label=2)],
-            min_length=10,
             split_value=0.58,
-            merge_tolerance=0.1,
         )
         path = tmp_path / "seg.csv"
         io_.save_segments_csv(path, seg, dimensions=[2, None])
@@ -363,7 +360,6 @@ def observable_series(speed, polarization, components, coarse):
         weight_speed=1 / 3,
         weight_polarization=1 / 3,
         epsilon=1.0,
-        n_agents=3,
     )
 
 

@@ -59,22 +59,15 @@ class TestNearestNeighborMap:
         b = np.array([[1.0, 0.0], [-1.0, 0.0]])  # equidistant from agent 0
         assert mapping.nearest_neighbor_map(a, b)[0] == 0
 
-    def test_periodic_box(self):
-        box = (16.0, 10.0)
-        a = np.array([[-7.9, 0.0], [0.0, 0.0]])
-        b = np.array([[7.9, 0.0], [0.1, 0.0]])  # 0.2 away through the wrap
-        assert list(mapping.nearest_neighbor_map(a, b, box_size=box)) == [0, 1]
-
     @pytest.mark.parametrize(
-        "source, target, box",
+        "source, target",
         [
-            ([[0.0, 0.0]], [[5.0, 5.0]], None),
-            ([[1e200, -1e200]], [[-1e200, 1e200]], None),  # the tree's distance overflows to inf
-            ([[0.5, 0.5]], [[3.9, 2.9]], (4.0, 3.0)),
+            ([[0.0, 0.0]], [[5.0, 5.0]]),
+            ([[1e200, -1e200]], [[-1e200, 1e200]]),  # the tree's distance overflows to inf
         ],
     )
-    def test_one_agent_maps_to_itself(self, source, target, box):
-        got = mapping.nearest_neighbor_map(np.array(source), np.array(target), box_size=box)
+    def test_one_agent_maps_to_itself(self, source, target):
+        got = mapping.nearest_neighbor_map(np.array(source), np.array(target))
         assert got.tolist() == [0]
 
 
@@ -300,76 +293,48 @@ def one_point_sources(draw):
 
 single_agent = st.tuples(points, points).map(lambda pair: (np.array([pair[0]]), np.array([pair[1]])))
 
-BOXES = pytest.mark.parametrize("box_size", [None, (4.0, 3.0)], ids=["open", "periodic"])
 
-
-def assert_bijection_with_exact_velocities(source, target, box_size):
-    m = mapping.correspond(source, target, box_size=box_size)
+def assert_bijection_with_exact_velocities(source, target):
+    m = mapping.correspond(source, target)
     n = source.shape[0]
     assert np.array_equal(np.sort(m.permutation), np.arange(n))
-    deltas = target[m.permutation] - source
-    if box_size is not None:
-        deltas = sim.minimum_image(deltas, box_size[0] / 2.0, box_size[1] / 2.0)
-    assert np.array_equal(m.velocities, deltas)
+    assert np.array_equal(m.velocities, target[m.permutation] - source)
 
 
-@BOXES
 @settings(max_examples=100, deadline=None)
 @given(coincident_frames())
-def test_correspond_fuzz_coincident_points(box_size, frames):
-    assert_bijection_with_exact_velocities(*frames, box_size)
+def test_correspond_fuzz_coincident_points(frames):
+    assert_bijection_with_exact_velocities(*frames)
 
 
-@BOXES
 @settings(max_examples=100, deadline=None)
 @given(one_point_sources())
-def test_correspond_fuzz_every_source_at_one_point(box_size, frames):
-    assert_bijection_with_exact_velocities(*frames, box_size)
+def test_correspond_fuzz_every_source_at_one_point(frames):
+    assert_bijection_with_exact_velocities(*frames)
 
 
-@BOXES
 @settings(max_examples=50, deadline=None)
 @given(single_agent)
-def test_correspond_fuzz_single_agent(box_size, frames):
-    assert_bijection_with_exact_velocities(*frames, box_size)
+def test_correspond_fuzz_single_agent(frames):
+    assert_bijection_with_exact_velocities(*frames)
 
 
-def test_correspond_folds_coordinates_that_round_onto_the_box_edge():
-    # np.mod(-1e-17, 4.0) is 4.0, which a periodic k-d tree refuses; the tree
-    # is built on the target frame, so the edge cases sit there
-    box_size = (4.0, 3.0)
-    tiny = np.nextafter(0.0, -1.0)
-    target = np.array([[-1e-17, 1.0], [tiny, 2.0], [4.0, -3.0], [2.0, -1e-17], [1.0, tiny]])
-    source = np.array([[3.95, 1.05], [0.05, 1.9], [0.1, 2.95], [2.0, 2.9], [1.1, 0.1]])
-    assert np.any(np.mod(target, box_size) >= box_size)
-    assert_bijection_with_exact_velocities(source, target, box_size)
-
-
-def looped_velocities(track, box_size=None):
+def looped_velocities(track):
     """Per-pair oracle of ``velocities``: KD query, brute-force tie retry,
     lexsort domain and a greedy ``remaining.pop`` over the leftover sources."""
-    box = None if box_size is None else np.asarray(box_size, dtype=float)
-
-    def disp(deltas):
-        return deltas if box is None else sim.minimum_image(deltas, box[0] / 2.0, box[1] / 2.0)
-
     n = track.shape[1]
     maps, messages = [], []
     for t in range(track.shape[0] - 1):
         source, target = track[t], track[t + 1]
         candidates = np.zeros(n, dtype=int)
         if n > 1:
-            if box is None:
-                dist, idx = cKDTree(target).query(source, k=2)
-            else:
-                tree = cKDTree(sim.into_box(target, box), boxsize=box)
-                dist, idx = tree.query(sim.into_box(source, box), k=2)
+            dist, idx = cKDTree(target).query(source, k=2)
             candidates = idx[:, 0].astype(int)
             for i in np.flatnonzero(dist[:, 0] == dist[:, 1]):
-                deltas = disp(target - source[i])
+                deltas = target - source[i]
                 d2 = np.einsum("ij,ij->i", deltas, deltas)
                 candidates[i] = int(np.flatnonzero(d2 == d2.min())[0])
-        cand_disp = disp(target[candidates] - source)
+        cand_disp = target[candidates] - source
         order = np.lexsort((np.arange(n), np.linalg.norm(cand_disp, axis=1), candidates))
         ranked = candidates[order]
         mask = np.zeros(n, dtype=bool)
@@ -380,10 +345,10 @@ def looped_velocities(track, box_size=None):
         mu1 = velocities[mask].mean(axis=0)
         remaining = sorted(np.setdiff1d(np.arange(n), candidates[mask]).tolist())
         for i in np.flatnonzero(~mask):
-            deltas = disp(target[np.asarray(remaining, dtype=int)] - source[i]) - mu1
+            deltas = target[np.asarray(remaining, dtype=int)] - source[i] - mu1
             j = remaining.pop(int(np.argmin(np.einsum("ij,ij->i", deltas, deltas))))
             permutation[i] = j
-            velocities[i] = disp(target[j] - source[i])
+            velocities[i] = target[j] - source[i]
         if mask.sum() < n / 2:
             messages.append(f"step {t + 1}: only {mask.sum()} of {n} agents matched without conflicts")
         maps.append((permutation, mask, velocities, mu1, velocities.mean(axis=0)))
@@ -402,20 +367,17 @@ def tracks(draw):
         "huge": st.sampled_from([-1e200, -3e199, 0.0, 2e199, 1e200]),
     }[kind]
     size = n_frames * n * 2
-    track = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(n_frames, n, 2)
-    return track, draw(st.sampled_from([None, None, (4.0, 3.0)]))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(n_frames, n, 2)
 
 
 @settings(max_examples=400, deadline=None)
 @given(tracks())
-def test_velocities_match_the_per_pair_loop(case):
-    track, box_size = case
-    half = (None, None) if box_size is None else (box_size[0] / 2.0, box_size[1] / 2.0)
-    ds = sim.TrajectoryDataset(wrapped=track, half_width=half[0], half_height=half[1])
+def test_velocities_match_the_per_pair_loop(track):
+    ds = sim.TrajectoryDataset(wrapped=track)
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("always")
         maps = mapping.velocities(ds)
-        expected, messages = looped_velocities(track, box_size)
+        expected, messages = looped_velocities(track)
     assert [str(w.message) for w in caught if w.category is mapping.LowConfidenceMatchWarning] == messages
     assert [m.step for m in maps] == list(range(1, track.shape[0]))
     for m, (permutation, mask, vel, mu1, mean) in zip(maps, expected, strict=True):
@@ -436,42 +398,51 @@ def crowded_tracks(draw):
     n_frames, n = draw(st.integers(2, 4)), draw(st.integers(17, 60))
     spacing = draw(st.sampled_from([[-1.0, -0.0, 0.0, 1.0], [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]]))
     size = n_frames * n * 2
-    track = np.array(draw(st.lists(st.sampled_from(spacing), min_size=size, max_size=size))).reshape(n_frames, n, 2)
-    return track, draw(st.sampled_from([None, (4.0, 3.0)]))
+    return np.array(draw(st.lists(st.sampled_from(spacing), min_size=size, max_size=size))).reshape(n_frames, n, 2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(crowded_tracks())
-def test_velocities_match_the_per_pair_loop_above_16_agents(case):
+def test_velocities_match_the_per_pair_loop_above_16_agents(track):
     # the same checks as the test above, on its undecorated body
-    test_velocities_match_the_per_pair_loop.hypothesis.inner_test(case)
+    test_velocities_match_the_per_pair_loop.hypothesis.inner_test(track)
 
 
-@BOXES
-def test_velocities_match_the_per_pair_loop_across_frame_blocks(box_size):
+def test_velocities_match_the_per_pair_loop_across_frame_blocks():
     # 150 agents are matched 27 frame pairs at a time: 89 pairs span 4 blocks
     n_frames, n = 90, 150
     assert n_frames - 1 > 3 * (mapping._BLOCK_AGENTS // n)
     rng = np.random.default_rng(17)
     steps = rng.normal(scale=0.05, size=(n_frames, n, 2))
     track = rng.uniform(-2.0, 2.0, size=(1, n, 2)) + np.cumsum(steps, axis=0)
-    if box_size is not None:
-        track = sim.wrap_positions(track, box_size[0] / 2.0, box_size[1] / 2.0)
-    test_velocities_match_the_per_pair_loop.hypothesis.inner_test((track, box_size))
+    test_velocities_match_the_per_pair_loop.hypothesis.inner_test(track)
 
 
-def test_velocities_use_the_box_only_on_a_wrapped_track():
+def test_velocities_use_plain_distances_on_either_track():
     # one agent steps (1, 3) in a 4 x 4 box and crosses its right edge
     unwrapped = np.array([[[1.5, 0.0]], [[2.5, 3.0]]])
-    wrapped = sim.wrap_positions(unwrapped, 2.0, 2.0)
-    ds = sim.TrajectoryDataset(wrapped=wrapped, unwrapped=unwrapped, half_width=2.0, half_height=2.0)
+    ds = sim.TrajectoryDataset(wrapped=sim.wrap_positions(unwrapped, 2.0, 2.0), unwrapped=unwrapped)
 
     def step(dataset):
         return mapping.velocities(dataset)[0].velocities.tolist()
 
-    assert step(ds) == [[1.0, 3.0]]  # the unwrapped track: plain distances
-    assert step(replace(ds, unwrapped=None)) == [[1.0, -1.0]]  # the wrapped track: minimum image
-    assert step(sim.TrajectoryDataset(wrapped=wrapped)) == [[-3.0, -1.0]]  # no box: plain distances
+    assert step(ds) == [[1.0, 3.0]]  # the unwrapped track: the true step
+    assert step(replace(ds, unwrapped=None)) == [[-3.0, -1.0]]  # the wrapped track: its wrap jump
+
+
+def test_a_simulated_wrapped_track_is_matched_like_a_loaded_one():
+    # a 5 x 3 box and long steps, so agents cross its edges between frames
+    params = sim.make_scenario("speed-switch", n_agents=8, n_steps=100, half_width=2.5, half_height=1.5, dt=2.0, seed=6)
+    ds = sim.simulate(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", mapping.LowConfidenceMatchWarning)
+        got = mapping.velocities(replace(ds, unwrapped=None))
+        want = mapping.velocities(sim.TrajectoryDataset(wrapped=ds.wrapped))
+    for m, expected in zip(got, want, strict=True):
+        assert np.array_equal(m.permutation, expected.permutation)
+        assert np.array_equal(m.velocities, expected.velocities)
+    # plain distances keep the wrap jumps, which are longer than half the box
+    assert max(np.abs(m.velocities[:, 0]).max() for m in got) > params.half_width
 
 
 def test_residual_pass_skips_targets_taken_at_an_earlier_rank():

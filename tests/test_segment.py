@@ -72,7 +72,6 @@ class TestLabels:
                 segment.Segment(31, 60, 0.55),
                 segment.Segment(61, 90, 0.50),
             ],
-            min_length=10,
             split_value=0.52,
         )
         out = segment.label_manifolds(seg3, tolerance=0.1)
@@ -84,7 +83,6 @@ class TestLabels:
                 segment.Segment(1, 30, 0.30),
                 segment.Segment(31, 60, 0.31),
             ],
-            min_length=10,
             split_value=0.3,
         )
         out = segment.label_manifolds(seg3, tolerance=0.0)
@@ -92,7 +90,7 @@ class TestLabels:
 
     def test_negative_tolerance_rejected(self):
         seg1 = segment.PhaseSegmentation(
-            segments=[segment.Segment(1, 10, 0.5)], min_length=10, split_value=None
+            segments=[segment.Segment(1, 10, 0.5)], split_value=None
         )
         with pytest.raises(ValueError):
             segment.label_manifolds(seg1, tolerance=-0.5)
@@ -103,7 +101,7 @@ class TestPerSegmentIsomap:
         rng = np.random.default_rng(2)
         pts = np.cumsum(rng.normal(size=(30, 6)), axis=0)
         seg1 = segment.PhaseSegmentation(
-            segments=[segment.Segment(1, 30, 0.0)], min_length=10, split_value=None
+            segments=[segment.Segment(1, 30, 0.0)], split_value=None
         )
         reports, full = segment.per_segment_isomap(pts, seg1, k=5)
         assert reports[0].dimension == full.dimension
@@ -114,7 +112,6 @@ class TestPerSegmentIsomap:
         pts = rng.normal(size=(20, 4))
         segs = segment.PhaseSegmentation(
             segments=[segment.Segment(1, 2, 0.0), segment.Segment(3, 20, 1.0)],
-            min_length=1,
             split_value=0.5,
         )
         with pytest.warns(segment.SegmentationWarning):

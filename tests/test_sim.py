@@ -240,23 +240,6 @@ class TestSimulate:
         assert ds.analysis_track() is ds.unwrapped
         assert replace(ds, unwrapped=None).analysis_track() is ds.wrapped
 
-    @pytest.mark.parametrize(
-        "box,message",
-        [
-            ({"half_width": 3.0}, "half_width and half_height must be given together"),
-            ({"half_height": 3.0}, "half_width and half_height must be given together"),
-            ({"half_width": 0.0, "half_height": 3.0}, "half_width must be positive and finite"),
-            ({"half_width": 3.0, "half_height": -1.0}, "half_height must be positive and finite"),
-            ({"half_width": math.inf, "half_height": 3.0}, "half_width must be positive and finite"),
-            ({"half_width": 3.0, "half_height": math.nan}, "half_height must be positive and finite"),
-        ],
-        ids=["width-only", "height-only", "zero", "negative", "inf", "nan"],
-    )
-    def test_dataset_rejects_a_partial_or_invalid_box(self, box, message):
-        # the box decides whether matching is periodic, so half a box is an error
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            sim.TrajectoryDataset(wrapped=np.zeros((2, 3, 2)), **box)
-
 
 class TestParamValidation:
     def test_noise_bounds_must_be_ordered(self):

@@ -74,19 +74,11 @@ ARGUMENT_SETS = {
     "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
     "split-rejoin": [*SPLIT, "--n-agents", "60", "--seed", "201"],
     "split-rejoin-dt1": [*SPLIT, "--n-agents", "100", "--dt", "1.0", "--seed", "201"],
-    # 120 agents in a 2.5 x 1.5 box: a dense minimum-image match of the wrapped track
-    "periodic-box": [
-        *SPEED, "--n-agents", "120", "--half-width", "1.25", "--half-height", "0.75",
-        "--dt", "2.0", "--no-prefer-unwrapped", "--seed", "6",
+    # 120 agents in a 2.5 x 1.5 box: the simulator's periodic neighbour search is dense
+    "tiny-box": [
+        *SPEED, "--n-agents", "120", "--half-width", "1.25", "--half-height", "0.75", "--dt", "2.0", "--seed", "6",
     ],
-    "wrapped-dump": [*SPEED, "--n-agents", "40", "--seed", "5", "--no-prefer-unwrapped", "--dump-correspondence"],
-    # the wrapped track crosses the box edge: speed and P match the unwrapped run's, but
-    # epsilon and C still use plain distances and move X by up to 0.067 against it
-    "wrapped-edge": [
-        *SPEED, "--n-agents", "10", "--seed", "5", "--half-width", "3", "--half-height", "3",
-        "--dt", "1.0", "--no-prefer-unwrapped",
-    ],
-    "wrapped-nocanon": [*NOISE, "--n-agents", "50", "--seed", "3", "--no-prefer-unwrapped", "--no-canonicalize"],
+    "scenario-dump": [*SPEED, "--n-agents", "40", "--seed", "5", "--dump-correspondence"],
     "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
     "simulate": ["simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2"],
     "isomap": ["isomap", "--input", "{wrapped}"],
@@ -96,7 +88,7 @@ ARGUMENT_SETS = {
         "simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2",
         "--k", "7", "--dmax", "10", "--canonicalize", "--no-dump-correspondence",
     ],
-    "explicit-defaults-isomap": ["isomap", "--input", "{wrapped}", "--min-len", "10", "--merge-tol", "0.1", "--prefer-unwrapped"],
+    "explicit-defaults-isomap": ["isomap", "--input", "{wrapped}", "--min-len", "10", "--merge-tol", "0.1"],
     # no dimension reaches the threshold: a 12-column embedding, a 12-row curve, a ManifoldWarning
     "isomap-wide": ["isomap", "--input", "{tracked}", "--threshold", "1e-12", "--dmax", "12"],
     "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
