@@ -5,7 +5,8 @@ Consecutive frame pairs are matched a block of frames at a time, each pair
 in three stages:
 
 1. every source agent proposes its nearest neighbor in the next frame
-   (one KD-tree per target frame, ties broken toward the lowest target index);
+   (every squared distance of a block of frames at once, ties broken toward
+   the lowest target index);
 2. proposals that do not collide are accepted outright; when several sources
    share a target, the source with the smallest displacement wins and the
    rest are left unmatched;
@@ -24,13 +25,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 # velocities matches runs of frame pairs holding about this many agents at
 # once: every pair's (N, 2) arrays of a run are alive together, and one run
 # of all frames raised crowd's peak RSS by 0.8%
 _BLOCK_AGENTS = 1 << 12
+
+# _nearest holds at most this many (source, target) squared distances at
+# once: 512 KB per float64 temporary
+_BLOCK_CELLS = 1 << 16
 
 
 class LowConfidenceMatchWarning(UserWarning):
@@ -65,6 +69,8 @@ def _frame_pair(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
         pts = np.asarray(config, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"{name} must have shape (N, 2)")
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{name} positions must be finite")
         pair.append(pts)
     if pair[0].shape[0] != pair[1].shape[0]:
         raise ValueError("source and target must contain the same number of agents")
@@ -83,19 +89,26 @@ def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, ``(P, N)`` out."""
-    n_pairs, n = source.shape[:2]
-    candidates = np.empty((n_pairs, n), dtype=int)
-    tied = np.empty((n_pairs, n), dtype=bool)
-    for f in range(n_pairs):
-        dist, idx = cKDTree(target[f]).query(source[f], k=2)
-        candidates[f], tied[f] = idx[:, 0], dist[:, 0] == dist[:, 1]
+    """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, ``(P, N)`` out.
 
-    # An exact distance tie makes the KD-tree's pick order-dependent; redo
-    # those rows by brute force so the lowest index always wins.
-    frames, rows = np.nonzero(tied)
-    deltas = target[frames] - source[frames, rows][:, None]
-    candidates[frames, rows] = np.argmin(np.einsum("kij,kij->ki", deltas, deltas), axis=1)
+    ``np.argmin`` returns the first of equal minima, the lowest target index.
+    """
+    n_pairs, n = source.shape[:2]
+    candidates = np.empty((n_pairs, n), dtype=np.intp)
+    # whole frames per block while N*N fits, else one frame in runs of rows
+    frames = max(_BLOCK_CELLS // max(n * n, 1), 1)
+    rows = max(_BLOCK_CELLS // max(n, 1), 1)
+    # far-apart finite points overflow to inf, which still compares as farthest
+    with np.errstate(over="ignore"):
+        for f in range(0, n_pairs, frames):
+            for r in range(0, n, rows):
+                src, tgt = source[f : f + frames, r : r + rows], target[f : f + frames]
+                dx = tgt[:, None, :, 0] - src[:, :, None, 0]
+                dy = tgt[:, None, :, 1] - src[:, :, None, 1]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                candidates[f : f + frames, r : r + rows] = np.argmin(dx, axis=2)
     return candidates
 
 
@@ -212,6 +225,8 @@ def velocities(dataset) -> list[CorrespondenceMap]:
     track = dataset.analysis_track()
     if track.shape[0] < 2:
         raise ValueError("need at least 2 frames")
+    if not np.isfinite(track).all():
+        raise ValueError("track positions must be finite")
     n = track.shape[1]
     # max(n, 1): an empty track reaches _match, which rejects it by agent count
     block = max(_BLOCK_AGENTS // max(n, 1), 1)

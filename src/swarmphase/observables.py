@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
@@ -26,6 +26,10 @@ EPSILON_MODES = ("all_pairs", "nearest_neighbor")
 # the graph search itself, while one graph over all frames holds every
 # frame's pairs at once and raised crowd's peak RSS by 55%
 _BLOCK_PAIRS = 1 << 14
+
+# a block also holds at most this many nodes, so that its node ids fit in
+# uint16, which numpy's stable argsort orders by radix sort
+_BLOCK_NODES = 1 << 16
 
 
 class DegenerateSeriesWarning(UserWarning):
@@ -129,14 +133,15 @@ def component_series(positions: np.ndarray, radius: float) -> np.ndarray:
 
     Each frame's pairs come from an inclusive ``query_pairs(radius)``.
     Consecutive frames are stacked into one block-diagonal graph until it
-    holds ``_BLOCK_PAIRS`` pairs, and csgraph labels each block's components
-    in one call; a frame's count is the number of distinct labels among its
-    agents.
+    holds ``_BLOCK_PAIRS`` pairs or ``_BLOCK_NODES`` nodes, and csgraph labels
+    each block's components in one call; a frame's count is the number of
+    distinct labels among its agents.
     """
     pos = np.asarray(positions, dtype=float)
     if radius <= 0:
         raise ValueError("radius must be positive")
     n_frames, n = pos.shape[:2]
+    max_frames = max(_BLOCK_NODES // max(n, 1), 1)
     counts = np.empty(n_frames, dtype=int)
     start, block, held = 0, [], 0
     for t, frame in enumerate(pos):
@@ -144,16 +149,24 @@ def component_series(positions: np.ndarray, radius: float) -> np.ndarray:
         # each frame's agents get their own node range in the block
         block.append(pairs + (t - start) * n)
         held += len(pairs)
-        if held >= _BLOCK_PAIRS or t == n_frames - 1:
+        if held >= _BLOCK_PAIRS or len(block) == max_frames or t == n_frames - 1:
             counts[start : t + 1] = _block_counts(np.concatenate(block), len(block), n)
             start, block, held = t + 1, [], 0
     return counts
 
 
 def _block_counts(pairs: np.ndarray, n_frames: int, n: int) -> np.ndarray:
-    """Component count per frame of ``n_frames`` frames of ``n`` nodes linked by ``pairs``."""
+    """Component count per frame of ``n_frames`` frames of ``n`` nodes linked by ``pairs``.
+
+    The graph goes to csgraph as a CSR matrix whose rows are grouped by a
+    stable sort of the first node of each pair, so csgraph need not sort it.
+    """
     m = n_frames * n
-    graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(m, m))
+    rows = pairs[:, 0].astype(np.min_scalar_type(m - 1))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(pairs)), pairs[order, 1].astype(np.int32), indptr), shape=(m, m))
     n_labels, labels = connected_components(graph, directed=False)
     frame_of_label = np.empty(n_labels, dtype=np.intp)
     frame_of_label[labels] = np.arange(m) // n

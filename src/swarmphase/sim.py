@@ -27,12 +27,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
 # Alignment vectors shorter than this are treated as zero (direction undefined).
 ZERO_ALIGNMENT_TOL = 1e-12
+
+# _adjacency tests at most this many (agent, agent) cells at once: 512 KB per
+# float64 temporary
+_BLOCK_CELLS = 1 << 16
 
 
 def rotation_matrices(angles: np.ndarray) -> np.ndarray:
@@ -61,7 +64,7 @@ def minimum_image(deltas: np.ndarray, half_width: float, half_height: float) -> 
 
 
 def into_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Coordinates modulo ``box``, inside ``[0, box)`` as a periodic k-d tree needs them."""
+    """Coordinates modulo ``box``, inside ``[0, box)``."""
     # np.mod can round a tiny negative up to the box edge itself; fold it back
     shifted = np.mod(points, box)
     return np.where(shifted >= box, 0.0, shifted)
@@ -170,21 +173,26 @@ def _adjacency(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Periodic neighbor relation as ``(rows, cols)`` pair arrays, self-loops included.
 
-    The pairs are sorted row-major: by row, then by column within a row. A
-    periodic k-d tree proposes every pair within a slightly enlarged radius,
-    since it measures on shifted coordinates that round differently; the same
-    minimum-image ``<= radius**2`` test as a dense pairwise check then decides
-    membership, so the relation is exactly the dense one.
+    The pairs are sorted row-major: by row, then by column within a row. Each
+    block of rows is tested against every agent with the minimum-image
+    ``dx*dx + dy*dy <= radius**2`` rule of ``minimum_image``, one axis at a
+    time.
     """
-    n = positions.shape[0]
-    box = np.array([2.0 * half_width, 2.0 * half_height])
-    tree = cKDTree(into_box(positions, box), boxsize=box)
-    pairs = tree.query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-    deltas = minimum_image(positions[pairs[:, 0]] - positions[pairs[:, 1]], half_width, half_height)
-    i, j = pairs[np.einsum("ij,ij->i", deltas, deltas) <= radius * radius].T
-    # sorting the keys ``row * n + col`` sorts the pairs row-major
-    keys = np.sort(np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1))))
-    return np.divmod(keys, n)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    n = max(positions.shape[0], 1)
+    per_block = max(_BLOCK_CELLS // n, 1)
+    keys = []
+    # n >= 1, so no agents still make one (empty) block
+    for start in range(0, n, per_block):
+        squares = []
+        for axis, width in enumerate((2.0 * half_width, 2.0 * half_height)):
+            d = np.subtract.outer(positions[start : start + per_block, axis], positions[:, axis])
+            d -= width * np.rint(d / width)  # np.rint is np.round to 0 decimals
+            squares.append(d * d)
+        # the key ``row * n + col`` of a pair is its row-major flat index
+        keys.append(np.flatnonzero(squares[0] + squares[1] <= radius * radius) + start * n)
+    return np.divmod(np.concatenate(keys), n)
 
 
 def step(

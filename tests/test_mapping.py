@@ -63,12 +63,30 @@ class TestNearestNeighborMap:
         "source, target",
         [
             ([[0.0, 0.0]], [[5.0, 5.0]]),
-            ([[1e200, -1e200]], [[-1e200, 1e200]]),  # the tree's distance overflows to inf
+            ([[1e200, -1e200]], [[-1e200, 1e200]]),  # the squared distance overflows to inf
         ],
     )
     def test_one_agent_maps_to_itself(self, source, target):
-        got = mapping.nearest_neighbor_map(np.array(source), np.array(target))
+        # an overflow to inf is the right distance, so it warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mapping.nearest_neighbor_map(np.array(source), np.array(target))
         assert got.tolist() == [0]
+
+    def test_far_apart_agents_pick_the_nearest_without_a_warning(self):
+        # differences of +-1e308 overflow in the subtraction itself
+        source = np.array([[1e308, -1e308], [0.0, 0.0]])
+        target = np.array([[-1e308, 1e308], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mapping.nearest_neighbor_map(source, target).tolist() == [0, 1]
+
+    def test_blocks_of_rows_match_brute_force(self, monkeypatch):
+        # 40 agents in blocks of 600 cells: one frame pair's rows in runs of 15, 15 and 10
+        monkeypatch.setattr(mapping, "_BLOCK_CELLS", 600)
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(-3, 4, size=(2, 40, 2)).astype(float)
+        assert np.array_equal(mapping.nearest_neighbor_map(a, b), brute_nearest(a, b))
 
 
 class TestBijectiveDomain:
@@ -463,6 +481,24 @@ def test_all_inf_residual_row_takes_the_lowest_free_target():
         m = mapping.correspond(source, target)
     assert list(m.bijective) == [True, False, False]
     assert list(m.permutation) == [0, 1, 2]
+
+
+class TestNonFinitePositions:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_frame_pair_functions_reject_by_name(self, side, value):
+        frames = {"source": np.zeros((3, 2)), "target": np.ones((3, 2))}
+        frames[side][1, 0] = value
+        for fn in (mapping.correspond, mapping.nearest_neighbor_map):
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(frames["source"], frames["target"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_velocities_rejects_by_name(self, value):
+        track = np.zeros((4, 3, 2))
+        track[2, 1, 1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            mapping.velocities(sim.TrajectoryDataset(wrapped=track))
 
 
 class TestNoAgents:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist
 
@@ -325,9 +326,71 @@ class TestComponentSeriesBlocks:
         assert total > 4 * observables._BLOCK_PAIRS
         assert 1 < len(calls) <= math.ceil(total / observables._BLOCK_PAIRS) + 1
 
+    def test_node_cap_closes_a_block_at_exactly_65536_nodes(self, monkeypatch):
+        # 300 frames of 256 agents far apart: no pairs, so only the node cap closes blocks
+        stack = np.broadcast_to(10.0 * np.arange(512.0).reshape(256, 2), (300, 256, 2))
+        calls, block_counts = [], observables._block_counts
+
+        def counting(pairs, n_frames, n):
+            calls.append(n_frames * n)
+            return block_counts(pairs, n_frames, n)
+
+        monkeypatch.setattr(observables, "_block_counts", counting)
+        assert observables.component_series(stack, 1.0).tolist() == [256] * 300
+        assert calls == [observables._BLOCK_NODES, 44 * 256]
+
     def test_radius_and_empty_stack(self):
         assert observables.component_series(np.zeros((0, 5, 2)), 1.0).size == 0
         with pytest.raises(ValueError, match="radius"):
             observables.component_series(np.zeros((2, 3, 2)), 0.0)
         with pytest.raises(ValueError, match="radius"):
             observables.connected_component_count(np.zeros((3, 2)), -1.0)
+
+
+def coo_block_counts(pairs, n_frames, n):
+    """The ``coo_matrix`` path ``_block_counts`` replaced: csgraph sorts the graph itself."""
+    m = n_frames * n
+    graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(m, m))
+    n_labels, labels = connected_components(graph, directed=False)
+    frame_of_label = np.empty(n_labels, dtype=np.intp)
+    frame_of_label[labels] = np.arange(m) // n
+    return np.bincount(frame_of_label, minlength=n_frames)
+
+
+@st.composite
+def block_graphs(draw):
+    """(pairs, n_frames, n): random pairs i < j within each frame, in random order; some frames get none."""
+    n_frames, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    pairs = []
+    for t in range(n_frames):
+        if n > 1 and draw(st.booleans()):
+            ij = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+            pairs.extend((t * n + min(i, j), t * n + max(i, j)) for i, j in ij if i != j)
+    order = draw(st.permutations(range(len(pairs))))
+    return np.array([pairs[k] for k in order], dtype=np.intp).reshape(-1, 2), n_frames, n
+
+
+class TestBlockCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(block_graphs())
+    def test_matches_the_coo_path(self, graph):
+        assert np.array_equal(observables._block_counts(*graph), coo_block_counts(*graph))
+
+    def test_frames_without_pairs(self):
+        pairs = np.array([[5, 6], [4, 5]])
+        assert observables._block_counts(pairs, 3, 3).tolist() == [3, 1, 3]
+        assert observables._block_counts(np.zeros((0, 2), dtype=np.intp), 4, 5).tolist() == [5] * 4
+
+    def test_one_block_of_65536_nodes(self):
+        # 256 frames of 256 agents; the last node id is the largest uint16
+        rng = np.random.default_rng(21)
+        n_frames = n = 256
+        assert n_frames * n == observables._BLOCK_NODES
+        local = np.sort(rng.integers(0, n, size=(n_frames, 200, 2)), axis=2)
+        pairs = (local + n * np.arange(n_frames)[:, None, None]).reshape(-1, 2)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.vstack((pairs, [[n_frames * n - 2, n_frames * n - 1]]))
+        rng.shuffle(pairs)
+        got = observables._block_counts(pairs, n_frames, n)
+        assert np.array_equal(got, coo_block_counts(pairs, n_frames, n))
+        assert got.min() < got.max() < n

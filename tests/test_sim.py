@@ -60,6 +60,20 @@ class TestNeighbors:
             for j in members:
                 assert i in nbrs[j]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_positions(self, value):
+        pos = np.array([[0.0, 0.0], [0.5, value]])
+        with pytest.raises(ValueError, match="must be finite"):
+            sim._adjacency(pos, 1.0, 3.0, 2.0)
+
+    def test_blocks_of_rows_match_brute_force(self, monkeypatch):
+        # 25 agents in blocks of 50 cells: two rows per block, 13 blocks
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 50)
+        rng = np.random.default_rng(12)
+        L, H = 3.0, 2.0
+        pos = np.column_stack((rng.uniform(-L, L, 25), rng.uniform(-H, H, 25)))
+        assert neighbor_lists(pos, 1.5, L, H) == brute_neighbors(pos, 1.5, L, H)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="^interaction_radius must be positive$"):
             single_agent_params(interaction_radius=0.0)

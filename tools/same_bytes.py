@@ -57,6 +57,19 @@ agents = np.column_stack([np.arange(8.0), np.arange(8.0) % 3])
 io.save_trajectory_csv(sys.argv[1], np.broadcast_to(agents, (40, 8, 2)))
 """
 
+# a 6 x 5 integer grid shifted half a spacing along x each frame, for 40
+# frames: each agent's nearest proposals tie exactly, so sources collide and
+# leftovers go to residual matching, and every adjacent pair is exactly at
+# the nearest-neighbour epsilon (the spacing)
+MAKE_LATTICE = """
+import sys
+import numpy as np
+from swarmphase import io
+xs, ys = np.meshgrid(np.arange(6.0), np.arange(5.0))
+grid = np.column_stack((xs.ravel(), ys.ravel()))
+io.save_trajectory_csv(sys.argv[1], grid + 0.5 * np.arange(40)[:, None, None] * np.array([1.0, 0.0]))
+"""
+
 SPEED = ["run", "--scenario", "speed-switch"]
 NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
@@ -98,6 +111,9 @@ ARGUMENT_SETS = {
     # exits 1 at observables: epsilon is 0
     "coincident": ["analyze", "--input", "{coincident}", "--min-len", "2"],
     "static": ["analyze", "--input", "{static}", "--min-len", "5"],
+    "lattice": [
+        "analyze", "--input", "{lattice}", "--epsilon-mode", "nearest_neighbor", "--min-len", "5", "--dump-correspondence",
+    ],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
@@ -128,6 +144,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-c", MAKE_COLLAPSE, str(dest / "collapse.csv")],
         ["-c", MAKE_COINCIDENT, str(dest / "coincident.csv")],
         ["-c", MAKE_STATIC, str(dest / "static.csv")],
+        ["-c", MAKE_LATTICE, str(dest / "lattice.csv")],
     ]
     for args in steps:
         done = python(src, args, dest)
@@ -140,6 +157,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "collapse": str(dest / "collapse.csv"),
         "coincident": str(dest / "coincident.csv"),
         "static": str(dest / "static.csv"),
+        "lattice": str(dest / "lattice.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
