@@ -7,7 +7,9 @@ exact, and the PGM writer is byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 from .sim import TrajectoryDataset
 
 TRAJECTORY_HEADER_NAMES = {"t", "id", "x", "y"}
+MAX_COORDINATE = 1e140  # largest |x| or |y| a trajectory CSV may hold; see load_trajectory_csv
 
 
 def format_float(x: float) -> str:
@@ -47,49 +50,38 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
 
     In the 3-column form agent identity is the row order within each frame
     block; in the 4-column form rows are ordered by the id column. Every
-    frame must contain the same number of agents. Non-finite values,
-    non-integer frame labels and an id repeated within a frame are rejected
-    with the line number.
-    """
-    width = None
-    values = array("d")
-    seen_ids = set()
-    with open(path) as lines:
-        for line_no, raw in enumerate(lines, start=1):
-            # float() ignores surrounding whitespace; fields are stripped only for messages
-            fields = raw.split(",")
-            if len(fields) == 1 and not raw.strip():
-                continue
-            if line_no == 1 and set(f.strip().lower() for f in fields) <= TRAJECTORY_HEADER_NAMES:
-                continue
-            if len(fields) not in (3, 4):
-                raise ValueError(f"line {line_no}: expected 3 or 4 fields, found {len(fields)}")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(f"line {line_no}: expected {width} fields, found {len(fields)}")
-            try:
-                if "_" in raw:
-                    raise ValueError  # float() reads digit-grouping underscores: '1_0' is 10
-                numbers = list(map(float, fields))
-            except ValueError:
-                bad = next(f.strip() for f in fields if not _is_number(f))
-                raise ValueError(f"line {line_no}: non-numeric field {bad!r}") from None
-            if not all(map(math.isfinite, numbers)):
-                bad = next(f.strip() for f, v in zip(fields, numbers) if not math.isfinite(v))
-                raise ValueError(f"line {line_no}: non-finite field {bad!r}")
-            if not numbers[0].is_integer():
-                raise ValueError(f"line {line_no}: frame label {fields[0].strip()!r} is not an integer")
-            if len(numbers) == 4:
-                key = (numbers[0], numbers[1])
-                if key in seen_ids:
-                    raise ValueError(f"line {line_no}: duplicate id {fields[1].strip()!r} in frame {int(numbers[0])}")
-                seen_ids.add(key)
-            values.extend(numbers)
+    frame must contain the same number of agents. A first line made only of
+    the names ``t``, ``id``, ``x`` and ``y`` is a header; blank lines are
+    skipped.
 
-    if width is None:
-        raise ValueError("trajectory file contains no data rows")
-    rows = np.frombuffer(values).reshape(-1, width)
+    A valid file is parsed in one ``np.loadtxt`` pass and checked as a
+    whole. A file that pass refuses goes to the per-line reader
+    ``_checked_rows``, which decides what is rejected and names the first
+    faulty line: a wrong field count, a non-numeric or non-finite value, an x
+    or y above ``MAX_COORDINATE`` in magnitude, a non-integer frame label, an
+    id repeated within a frame. It also loads the few files numpy refuses but
+    ``float()`` reads, such as a whitespace-only line or non-ASCII digits.
+    numpy converts a field with the same ``PyOS_string_to_double`` as
+    ``float()`` but refuses more (digit-grouping underscores, quoted fields,
+    ragged rows), so a file the bulk pass accepts gives the same rows on
+    either path. Frame sizes are checked after either path.
+
+    The magnitude limit keeps Isomap finite. Its Gram matrix squares
+    geodesics, sums of up to T-2 configuration distances, each at most
+    ``2 * sqrt(2N)`` times the largest coordinate. At N=60 and T=600,
+    coordinates of 1e140 bound those squares by 1.7e288, below float64's
+    1.8e308; at 1e150 the bound is 1.7e308, and uniform random positions
+    overflow the Gram matrix.
+    """
+    # read once, so that a pipe can feed both paths; TextIOWrapper decodes as open(path) does
+    with open(path, "rb") as file:
+        data = file.read()
+    with TextIOWrapper(BytesIO(data)) as lines:
+        rows = _parsed_rows(lines)
+        if rows is None:
+            lines.seek(0)
+            rows = _checked_rows(lines)
+    width = rows.shape[1]
     labels, first_row, sizes = np.unique(rows[:, 0], return_index=True, return_counts=True)
     expected = sizes[np.argmin(first_row)]
     wrong = np.flatnonzero(sizes != expected)
@@ -101,6 +93,78 @@ def load_trajectory_csv(path) -> TrajectoryDataset:
     order = np.lexsort((rows[:, 1], rows[:, 0]) if width == 4 else (rows[:, 0],))
     positions = rows[order, -2:].reshape(labels.size, expected, 2)
     return TrajectoryDataset(wrapped=positions)
+
+
+def _is_header(line: str) -> bool:
+    return set(f.strip().lower() for f in line.split(",")) <= TRAJECTORY_HEADER_NAMES
+
+
+def _parsed_rows(lines: TextIOWrapper) -> np.ndarray | None:
+    """The data rows through one ``np.loadtxt`` pass, or None if numpy or a check refuses them."""
+    if not _is_header(lines.readline()):
+        lines.seek(0)
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported by the per-line reader
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if rows.shape[1] not in (3, 4) or not np.isfinite(rows).all():
+        return None
+    labels = rows[:, 0]
+    if not (np.abs(rows[:, -2:]) <= MAX_COORDINATE).all() or not (labels == np.floor(labels)).all():
+        return None
+    if rows.shape[1] == 4:
+        keys = rows[np.lexsort((rows[:, 1], labels)), :2]
+        if (keys[1:] == keys[:-1]).all(axis=1).any():
+            return None
+    return rows
+
+
+def _checked_rows(lines: TextIOWrapper) -> np.ndarray:
+    """The data rows read one line at a time; raises on the first faulty line, by number."""
+    width = None
+    values = array("d")
+    seen_ids = set()
+    for line_no, raw in enumerate(lines, start=1):
+        # float() ignores surrounding whitespace; fields are stripped only for messages
+        fields = raw.split(",")
+        if len(fields) == 1 and not raw.strip():
+            continue
+        if line_no == 1 and _is_header(raw):
+            continue
+        if len(fields) not in (3, 4):
+            raise ValueError(f"line {line_no}: expected 3 or 4 fields, found {len(fields)}")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(f"line {line_no}: expected {width} fields, found {len(fields)}")
+        try:
+            if "_" in raw:
+                raise ValueError  # float() reads digit-grouping underscores: '1_0' is 10
+            numbers = list(map(float, fields))
+        except ValueError:
+            bad = next(f.strip() for f in fields if not _is_number(f))
+            raise ValueError(f"line {line_no}: non-numeric field {bad!r}") from None
+        if not all(map(math.isfinite, numbers)):
+            bad = next(f.strip() for f, v in zip(fields, numbers) if not math.isfinite(v))
+            raise ValueError(f"line {line_no}: non-finite field {bad!r}")
+        if max(abs(numbers[-2]), abs(numbers[-1])) > MAX_COORDINATE:
+            bad = next(f.strip() for f, v in zip(fields[-2:], numbers[-2:]) if abs(v) > MAX_COORDINATE)
+            raise ValueError(f"line {line_no}: field {bad!r} exceeds 1e140 in magnitude")
+        if not numbers[0].is_integer():
+            raise ValueError(f"line {line_no}: frame label {fields[0].strip()!r} is not an integer")
+        if len(numbers) == 4:
+            key = (numbers[0], numbers[1])
+            if key in seen_ids:
+                raise ValueError(f"line {line_no}: duplicate id {fields[1].strip()!r} in frame {int(numbers[0])}")
+            seen_ids.add(key)
+        values.extend(numbers)
+
+    if width is None:
+        raise ValueError("trajectory file contains no data rows")
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def _is_number(field: str) -> bool:

@@ -39,7 +39,6 @@ class Segment:
 @dataclass
 class PhaseSegmentation:
     segments: list[Segment]
-    split_value: float | None
 
     @property
     def boundaries(self) -> list[int]:
@@ -99,7 +98,7 @@ def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentatio
     if v.size < 2 * min_length:
         raise ValueError(f"series of length {v.size} is too short for min_length {min_length}")
 
-    split, classes = two_means_split(v)
+    _, classes = two_means_split(v)
     bounds = [0, *(np.flatnonzero(np.diff(classes)) + 1).tolist(), v.size]
     lengths = [end - start for start, end in zip(bounds, bounds[1:])]
     while len(lengths) > 1:
@@ -114,7 +113,7 @@ def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentatio
         Segment(start=start + 1, end=end, mean_value=float(v[start:end].mean()))
         for start, end in zip(bounds, bounds[1:])
     ]
-    return PhaseSegmentation(segments=segments, split_value=split)
+    return PhaseSegmentation(segments=segments)
 
 
 def label_manifolds(segmentation: PhaseSegmentation, tolerance: float = 0.1) -> PhaseSegmentation:

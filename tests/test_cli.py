@@ -461,6 +461,48 @@ class TestWarningsOnStderr:
         ]
 
 
+def uniform_track(path, n_agents, n_frames, bound):
+    """A CSV of agents at uniform random positions in [-bound, bound]; the first field above 1e140, if any."""
+    positions = np.random.default_rng(0).uniform(-bound, bound, size=(n_frames, n_agents, 2))
+    io_.save_trajectory_csv(path, positions)
+    rows = positions.reshape(-1, 2)
+    huge = np.flatnonzero((np.abs(rows) > io_.MAX_COORDINATE).any(axis=1))
+    if huge.size == 0:
+        return None
+    line = int(huge[0])
+    x, y = rows[line]
+    return line + 1, io_.format_float(x if abs(x) > io_.MAX_COORDINATE else y)
+
+
+class TestHugeCoordinates:
+    @pytest.mark.parametrize("n_agents, n_frames, bound", [(12, 30, 1e160), (60, 600, 1e150)], ids=["1e160", "1e150"])
+    def test_rejected_at_load_by_line(self, tmp_path, capsys, n_agents, n_frames, bound):
+        # without the limit these ran on to overflow warnings, then scipy's "p too
+        # large" or "array must not contain infs or NaNs" from a later stage
+        line, field = uniform_track(tmp_path / "huge.csv", n_agents, n_frames, bound)
+        argv = ["analyze", "--input", str(tmp_path / "huge.csv"), "--min-len", "2", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"swarmphase: error: load: line {line}: field '{field}' exceeds 1e140 in magnitude"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_limit_runs_to_the_end(self, tmp_path, capsys):
+        assert uniform_track(tmp_path / "big.csv", 60, 600, 1e140) is None
+        argv = ["analyze", "--input", str(tmp_path / "big.csv"), "--min-len", "2", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        # random positions match poorly and segment finely; nothing overflows
+        kinds = {line.split(":")[2].strip() for line in capsys.readouterr().err.splitlines()}
+        assert kinds == {"SegmentationWarning", "LowConfidenceMatchWarning"}
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "t,x,y\n"], ids=["empty", "blank", "header-only"])
+def test_file_without_data_prints_only_the_error(tmp_path, capsys, text):
+    (tmp_path / "t.csv").write_text(text)
+    assert cli.main(["analyze", "--input", str(tmp_path / "t.csv"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["swarmphase: error: load: trajectory file contains no data rows"]
+
+
 # Settings a command never reads, by config key; each is rejected unless left at its default.
 SIMULATE_UNREAD = [
     "xi1", "xi2", "epsilon_mode", "k", "dmax", "threshold", "min_len", "merge_tol",

@@ -1,5 +1,9 @@
+import os
 import re
+import threading
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,10 +183,7 @@ class TestOtherWriters:
         assert lines[1].startswith("1,0.5,1,1,0.5")
 
     def test_segments_csv(self, tmp_path):
-        seg = PhaseSegmentation(
-            segments=[Segment(1, 49, 0.5, label=1), Segment(50, 99, 0.66, label=2)],
-            split_value=0.58,
-        )
+        seg = PhaseSegmentation(segments=[Segment(1, 49, 0.5, label=1), Segment(50, 99, 0.66, label=2)])
         path = tmp_path / "seg.csv"
         io_.save_segments_csv(path, seg, dimensions=[2, None])
         lines = path.read_text().splitlines()
@@ -232,10 +233,10 @@ class TestConfigParsing:
 
 
 @st.composite
-def trajectories(draw):
-    """Finite ``(T, N, 2)`` arrays, any magnitude, signed zeros and subnormals included."""
+def trajectories(draw, bound=None):
+    """Finite ``(T, N, 2)`` arrays up to ``bound`` in magnitude (any if None), signed zeros and subnormals included."""
     n_frames, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    values = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.floats(min_value=bound and -bound, max_value=bound, allow_nan=False, allow_infinity=False)
     return np.array(draw(st.lists(values, min_size=n_frames * n * 2, max_size=n_frames * n * 2))).reshape(n_frames, n, 2)
 
 
@@ -252,7 +253,7 @@ def drop_id(row):
 
 class TestTrajectoryCsvFuzz:
     @settings(max_examples=100, deadline=None)
-    @given(trajectories(), st.randoms(use_true_random=False))
+    @given(trajectories(io_.MAX_COORDINATE), st.randoms(use_true_random=False))
     def test_round_trip_is_exact_in_both_forms(self, tmp_path_factory, positions, random):
         path, rows = saved_rows(tmp_path_factory, positions)
         # the 4-column form orders by frame label and id, so any row order loads the same
@@ -263,10 +264,10 @@ class TestTrajectoryCsvFuzz:
         assert io_.load_trajectory_csv(path).wrapped.tobytes() == positions.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(trajectories(), st.data())
+    @given(trajectories(io_.MAX_COORDINATE), st.data())
     def test_bad_line_is_rejected_by_number(self, tmp_path_factory, positions, data):
         path, rows = saved_rows(tmp_path_factory, positions)
-        kind = data.draw(st.sampled_from(["nan", "frame", "duplicate", "fields", "underscore"]))
+        kind = data.draw(st.sampled_from(["nan", "huge", "frame", "duplicate", "fields", "underscore"]))
         k = data.draw(st.integers(0, len(rows) - 1))
         fields = rows[k].split(",")
         if kind == "duplicate":
@@ -279,6 +280,9 @@ class TestTrajectoryCsvFuzz:
             if kind == "nan":
                 fields[data.draw(st.sampled_from([2, 3]))] = "nan"
                 message = f"line {k + 1}: non-finite field 'nan'"
+            elif kind == "huge":
+                fields[data.draw(st.sampled_from([2, 3]))] = "-1.0000000000000003e+140"
+                message = f"line {k + 1}: field '-1.0000000000000003e+140' exceeds 1e140 in magnitude"
             elif kind == "frame":
                 fields[0] = "1.5"
                 message = f"line {k + 1}: frame label '1.5' is not an integer"
@@ -505,3 +509,152 @@ class TestLoaderErrorPrecedence:
         path.write_text("2,0,0\n2,1,0\n3,0,0\n1,0,0\n1,1,0\n1,2,0\n")
         with pytest.raises(ValueError, match="^frame 3: expected 2 agents, found 1$"):
             io_.load_trajectory_csv(path)
+
+
+def per_line_load(path):
+    """The loader with the bulk pass refused: ``_checked_rows`` plus the frame grouping."""
+    with mock.patch.object(io_, "_parsed_rows", return_value=None):
+        return io_.load_trajectory_csv(path)
+
+
+def bulk_load(path):
+    """The loader with the per-line reader disabled, so a file it would need fails the test."""
+    with mock.patch.object(io_, "_checked_rows", side_effect=AssertionError("reached the per-line reader")):
+        return io_.load_trajectory_csv(path)
+
+
+@st.composite
+def valid_files(draw, blank_lines=("",)):
+    """A valid trajectory file's text and its positions: either form, maybe a header,
+    LF or CRLF endings, blank lines, whitespace around fields, rows in any order
+    in the 4-column form."""
+    positions = draw(trajectories(io_.MAX_COORDINATE))
+    four = draw(st.booleans(), label="four columns")
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    # 17 significant digits or the shortest repr
+    number = st.sampled_from([io_.format_float, lambda v: repr(float(v))])
+    rows = [
+        [str(t), str(i), draw(number)(x), draw(number)(y)]
+        for t, frame in enumerate(positions, start=1)
+        for i, (x, y) in enumerate(frame, start=1)
+    ]
+    rows = draw(st.permutations(rows)) if four else [[row[0], *row[2:]] for row in rows]
+    lines = [",".join(draw(pad) + f + draw(pad) for f in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3), label="blank lines")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(blank_lines)))
+    if draw(st.booleans(), label="header"):
+        lines.insert(0, draw(st.sampled_from(["t,id,x,y", "T, ID ,x,Y"] if four else ["t,x,y", " t,x ,y"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), positions
+
+
+class TestBulkParse:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_files(blank_lines=("", " ", "\t")))
+    def test_rows_match_the_per_line_reader(self, tmp_path_factory, case):
+        text, positions = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode())
+        loaded = io_.load_trajectory_csv(path).wrapped.tobytes()
+        assert loaded == per_line_load(path).wrapped.tobytes() == positions.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_files())
+    def test_valid_file_never_reaches_the_per_line_reader(self, tmp_path_factory, case):
+        text, positions = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode())
+        assert bulk_load(path).wrapped.tobytes() == positions.tobytes()
+
+    def test_saved_trajectory_takes_the_bulk_pass(self, tmp_path):
+        pos = np.random.default_rng(6).uniform(-5, 5, size=(50, 20, 2))
+        io_.save_trajectory_csv(tmp_path / "t.csv", pos)
+        assert np.array_equal(bulk_load(tmp_path / "t.csv").wrapped, pos)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,0,0\n \n1,1,0\n2,0,0\n2,1,0\n", "1,0,0\n1,\u0661,0\n2,0,0\n2,1,0\n"],
+        ids=["whitespace-only-line", "non-ascii-digit"],
+    )
+    def test_files_numpy_refuses_but_float_reads_still_load(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert io_.load_trajectory_csv(path).wrapped.tolist() == [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]
+        with pytest.raises(AssertionError, match="per-line reader"):
+            bulk_load(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "\n\n\n", "\r\n", " \n\t\n", "t,x,y\n", "t,id,x,y\r\n\r\n"],
+        ids=["empty", "newline", "newlines", "crlf", "whitespace", "header", "header-and-blank"],
+    )
+    def test_no_data_is_reported_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^trajectory file contains no data rows$"):
+                io_.load_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,0\n1,1,1e+160\n", "line 2: field '1e+160' exceeds 1e140 in magnitude"),
+            ("1,1,-2e141,7e200\n", "line 1: field '-2e141' exceeds 1e140 in magnitude"),
+            ("1,0,0\n1,1e300,inf\n", "line 2: non-finite field 'inf'"),
+            ("1,0,0\n1.5,1e300,0\n", "line 2: field '1e300' exceeds 1e140 in magnitude"),
+        ],
+        ids=["y", "x-first", "finite-before-magnitude", "magnitude-before-label"],
+    )
+    def test_huge_coordinate_is_rejected_by_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io_.load_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,0\ninf,1,0\n", "line 2: non-finite field 'inf'"),
+            ("1,1,0,0\n1,nan,1,0\n", "line 2: non-finite field 'nan'"),
+            ("1,1,0,0\n1,-inf,1,0\n", "line 2: non-finite field '-inf'"),
+        ],
+        ids=["frame-label", "id-nan", "id-inf"],
+    )
+    def test_non_finite_label_or_id_is_rejected_by_line(self, tmp_path, text, message):
+        # inf passes the integer-label test, and nan is never a repeated id
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io_.load_trajectory_csv(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("t,x,y\n1,0,0\n1,1,0\n2,0,0\n2,1,0\n", [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]),
+            ("1,0,0\n \n1,1,0\n", [[[0, 0], [1, 0]]]),
+            ("1,0,0\n1,nan,0\n", "line 2: non-finite field 'nan'"),
+        ],
+        ids=["bulk", "per-line", "faulty"],
+    )
+    def test_a_pipe_feeds_both_paths(self, tmp_path, text, outcome):
+        # a pipe can be read only once, and the per-line reader may need it after numpy
+        fifo = tmp_path / "t.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            if isinstance(outcome, str):
+                with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+                    io_.load_trajectory_csv(fifo)
+            else:
+                assert io_.load_trajectory_csv(fifo).wrapped.tolist() == outcome
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_limit_is_inclusive_and_ignores_labels_and_ids(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,1e200,1e140,-1e140\n1,2,0,0\n")
+        assert bulk_load(path).wrapped.tolist() == [[[0, 0], [1e140, -1e140]]]

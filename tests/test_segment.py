@@ -72,7 +72,6 @@ class TestLabels:
                 segment.Segment(31, 60, 0.55),
                 segment.Segment(61, 90, 0.50),
             ],
-            split_value=0.52,
         )
         out = segment.label_manifolds(seg3, tolerance=0.1)
         assert out.n_labels == 1
@@ -83,15 +82,12 @@ class TestLabels:
                 segment.Segment(1, 30, 0.30),
                 segment.Segment(31, 60, 0.31),
             ],
-            split_value=0.3,
         )
         out = segment.label_manifolds(seg3, tolerance=0.0)
         assert out.labels == [1, 2]
 
     def test_negative_tolerance_rejected(self):
-        seg1 = segment.PhaseSegmentation(
-            segments=[segment.Segment(1, 10, 0.5)], split_value=None
-        )
+        seg1 = segment.PhaseSegmentation(segments=[segment.Segment(1, 10, 0.5)])
         with pytest.raises(ValueError):
             segment.label_manifolds(seg1, tolerance=-0.5)
 
@@ -100,9 +96,7 @@ class TestPerSegmentIsomap:
     def test_single_segment_equals_full(self):
         rng = np.random.default_rng(2)
         pts = np.cumsum(rng.normal(size=(30, 6)), axis=0)
-        seg1 = segment.PhaseSegmentation(
-            segments=[segment.Segment(1, 30, 0.0)], split_value=None
-        )
+        seg1 = segment.PhaseSegmentation(segments=[segment.Segment(1, 30, 0.0)])
         reports, full = segment.per_segment_isomap(pts, seg1, k=5)
         assert reports[0].dimension == full.dimension
         assert np.array_equal(reports[0].residual_variances, full.residual_variances)
@@ -112,7 +106,6 @@ class TestPerSegmentIsomap:
         pts = rng.normal(size=(20, 4))
         segs = segment.PhaseSegmentation(
             segments=[segment.Segment(1, 2, 0.0), segment.Segment(3, 20, 1.0)],
-            split_value=0.5,
         )
         with pytest.warns(segment.SegmentationWarning):
             reports, _ = segment.per_segment_isomap(pts, segs, k=3)
@@ -153,7 +146,7 @@ def closer_mean_segmentation(values, min_length):
     v = np.asarray(values, dtype=float)
     split, classes = segment.two_means_split(v)
     if split is None:
-        return [(1, v.size, float(v.mean()))], None
+        return [(1, v.size, float(v.mean()))]
     runs = runs_of(classes)
     while len(runs) > 1:
         lengths = [end - start + 1 for start, end, _ in runs]
@@ -171,7 +164,7 @@ def closer_mean_segmentation(values, min_length):
             choices.append((abs(v[s : e + 1].mean() - run_mean), c))
         classes[start : end + 1] = min(choices, key=lambda c: c[0])[1]
         runs = runs_of(classes)
-    return [(s + 1, e + 1, float(v[s : e + 1].mean())) for s, e, _ in runs], split
+    return [(s + 1, e + 1, float(v[s : e + 1].mean())) for s, e, _ in runs]
 
 
 @st.composite
@@ -200,7 +193,6 @@ def series_and_min_length(draw):
 def test_merge_by_length_matches_closer_mean_reference(case):
     values, min_length = case
     out = segment.segment_series(values, min_length)
-    want, split = closer_mean_segmentation(values, min_length)
+    want = closer_mean_segmentation(values, min_length)
     assert [(s.start, s.end) for s in out.segments] == [(s, e) for s, e, _ in want]
     assert [s.mean_value.hex() for s in out.segments] == [m.hex() for _, _, m in want]
-    assert (None if out.split_value is None else out.split_value.hex()) == (None if split is None else split.hex())

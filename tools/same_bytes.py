@@ -70,6 +70,40 @@ grid = np.column_stack((xs.ravel(), ys.ravel()))
 io.save_trajectory_csv(sys.argv[1], grid + 0.5 * np.arange(40)[:, None, None] * np.array([1.0, 0.0]))
 """
 
+# a speed-switch track as a 4-column file with a header, rows shuffled and
+# CRLF line endings: the loader's bulk pass reads it
+MAKE_HEADER_CRLF = """
+import sys
+import numpy as np
+from swarmphase import io, sim
+io.save_trajectory_csv(sys.argv[1], sim.simulate(sim.scenario_speed_switch(n_agents=20, n_steps=110, seed=4)).unwrapped)
+with open(sys.argv[1]) as lines:
+    rows = np.random.default_rng(0).permutation(lines.read().splitlines()).tolist()
+with open(sys.argv[1], "w", newline="\\r\\n") as out:
+    out.write("t,id,x,y\\n" + "\\n".join(rows) + "\\n")
+"""
+
+# a 3-column track with a whitespace-only line after every tenth row: numpy
+# refuses the file, and the per-line reader loads it
+MAKE_WHITESPACE_LINES = """
+import sys
+from swarmphase import io, sim
+io.save_trajectory_csv(sys.argv[1], sim.simulate(sim.scenario_speed_switch(n_agents=20, n_steps=110, seed=4)).unwrapped)
+with open(sys.argv[1]) as lines:
+    rows = ["{0},{2},{3}".format(*row.split(",")) for row in lines.read().splitlines()]
+with open(sys.argv[1], "w") as out:
+    out.write("".join(row + ("\\n \\t\\n" if i % 10 == 9 else "\\n") for i, row in enumerate(rows)))
+"""
+
+# 12 agents over 30 frames at uniform random positions in +-1e160: beyond
+# the loader's 1e140 limit, past which distances overflow
+MAKE_HUGE = """
+import sys
+import numpy as np
+from swarmphase import io
+io.save_trajectory_csv(sys.argv[1], np.random.default_rng(0).uniform(-1e160, 1e160, size=(30, 12, 2)))
+"""
+
 SPEED = ["run", "--scenario", "speed-switch"]
 NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
@@ -114,6 +148,10 @@ ARGUMENT_SETS = {
     "lattice": [
         "analyze", "--input", "{lattice}", "--epsilon-mode", "nearest_neighbor", "--min-len", "5", "--dump-correspondence",
     ],
+    "header-crlf": ["analyze", "--input", "{header_crlf}"],
+    "whitespace-lines": ["analyze", "--input", "{whitespace}"],
+    # exits 1 at load; before the limit it exited 1 at observables, after overflow warnings
+    "huge": ["analyze", "--input", "{huge}", "--min-len", "2"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
@@ -145,6 +183,9 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-c", MAKE_COINCIDENT, str(dest / "coincident.csv")],
         ["-c", MAKE_STATIC, str(dest / "static.csv")],
         ["-c", MAKE_LATTICE, str(dest / "lattice.csv")],
+        ["-c", MAKE_HEADER_CRLF, str(dest / "header_crlf.csv")],
+        ["-c", MAKE_WHITESPACE_LINES, str(dest / "whitespace.csv")],
+        ["-c", MAKE_HUGE, str(dest / "huge.csv")],
     ]
     for args in steps:
         done = python(src, args, dest)
@@ -158,6 +199,9 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "coincident": str(dest / "coincident.csv"),
         "static": str(dest / "static.csv"),
         "lattice": str(dest / "lattice.csv"),
+        "header_crlf": str(dest / "header_crlf.csv"),
+        "whitespace": str(dest / "whitespace.csv"),
+        "huge": str(dest / "huge.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
