@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 import warnings
 
@@ -63,6 +65,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
+    # At exit, move every object to the collector's permanent generation, so
+    # that the interpreter's shutdown collections skip numpy's and scipy's
+    # ~46k objects (~25 ms); the OS frees that memory anyway. Registering here,
+    # not at import, leaves a process that only imports this module alone, and
+    # in-process callers keep a normal collector until they exit.
+    atexit.unregister(gc.freeze)  # at most one registration per process
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .sim import TrajectoryDataset
+from .sim import MAX_COORDINATE, TrajectoryDataset
 
 TRAJECTORY_HEADER_NAMES = {"t", "id", "x", "y"}
-MAX_COORDINATE = 1e140  # largest |x| or |y| a trajectory CSV may hold; see load_trajectory_csv
 
 
 def format_float(x: float) -> str:

@@ -33,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 # Alignment vectors shorter than this are treated as zero (direction undefined).
 ZERO_ALIGNMENT_TOL = 1e-12
 
+# largest |x| or |y| a trajectory may hold, simulated or loaded; it keeps
+# Isomap's Gram matrix finite (see io.load_trajectory_csv)
+MAX_COORDINATE = 1e140
+
 # _adjacency tests at most this many (agent, agent) cells at once: 512 KB per
 # float64 temporary
 _BLOCK_CELLS = 1 << 16
@@ -55,12 +59,6 @@ def wrap_positions(positions: np.ndarray, half_width: float, half_height: float)
     lo = np.array([-half_width, -half_height])
     box = np.array([2.0 * half_width, 2.0 * half_height])
     return into_box(positions - lo, box) + lo
-
-
-def minimum_image(deltas: np.ndarray, half_width: float, half_height: float) -> np.ndarray:
-    """Shortest periodic representative of displacement vectors."""
-    box = np.array([2.0 * half_width, 2.0 * half_height])
-    return deltas - box * np.round(deltas / box)
 
 
 def into_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
@@ -174,9 +172,9 @@ def _adjacency(
     """Periodic neighbor relation as ``(rows, cols)`` pair arrays, self-loops included.
 
     The pairs are sorted row-major: by row, then by column within a row. Each
-    block of rows is tested against every agent with the minimum-image
-    ``dx*dx + dy*dy <= radius**2`` rule of ``minimum_image``, one axis at a
-    time.
+    block of rows is tested against every agent with the minimum-image rule
+    ``dx*dx + dy*dy <= radius**2``, one axis at a time: each difference is
+    reduced by the nearest multiple of its box side.
     """
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
@@ -244,6 +242,8 @@ def simulate(params: SimParams) -> TrajectoryDataset:
 
     Initial headings are all zero; initial positions are uniform over a disk
     of radius 2 centered at ``(-L + 2, 0)``. Deterministic for a fixed seed.
+    A run in which any coordinate exceeds ``MAX_COORDINATE`` in magnitude
+    fails with a ``ValueError`` naming the first such frame.
     """
     rng = np.random.default_rng(params.seed)
     n, n_frames = params.n_agents, params.n_steps
@@ -264,6 +264,13 @@ def simulate(params: SimParams) -> TrajectoryDataset:
             wrapped[k], unwrapped[k], headings, params, k, rng
         )
 
+    for track in (unwrapped, wrapped):
+        beyond = np.argwhere(np.abs(track) > MAX_COORDINATE)
+        if len(beyond):
+            frame, agent, axis = beyond[0]
+            raise ValueError(
+                f"frame {frame + 1}: coordinate {float(track[frame, agent, axis])!r} exceeds 1e140 in magnitude"
+            )
     return TrajectoryDataset(wrapped=wrapped, unwrapped=unwrapped)
 
 

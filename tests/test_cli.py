@@ -1,5 +1,10 @@
+import gc
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,6 +501,33 @@ class TestHugeCoordinates:
         assert kinds == {"SegmentationWarning", "LowConfidenceMatchWarning"}
 
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["simulate", "--dt", "1e140"], "frame 21: coordinate 1.0311119589286705e+140"),
+            (["run", "--dt", "1e300"], "frame 2: coordinate 4.0566393422909265e+298"),
+            (["run", "--half-width", "1e150"], "frame 1: coordinate -1e+150"),
+        ],
+        ids=["simulate-dt-1e140", "run-dt-1e300", "run-half-width-1e150"],
+    )
+    def test_simulated_run_fails_by_frame(self, tmp_path, capsys, args, line):
+        # before the limit, simulate wrote a track that analyze refused, and
+        # run went on to overflow warnings and scipy's "p too large"
+        command, *settings = args
+        argv = [command, "--scenario", "speed-switch", "--n-agents", "10", "--n-steps", "100", *settings]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"swarmphase: error: sim: {line} exceeds 1e140 in magnitude"]
+        assert not (tmp_path / "out").exists()
+
+    def test_simulated_track_near_the_limit_loads(self, tmp_path, capsys):
+        argv = ["simulate", "--scenario", "speed-switch", "--n-agents", "10", "--n-steps", "100", "--dt", "1e139"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        # the loader rejects a coordinate past the limit, so both files loading is the check
+        io_.load_trajectory_csv(tmp_path / "trajectory.csv")
+        unwrapped = io_.load_trajectory_csv(tmp_path / "trajectory_unwrapped.csv").wrapped
+        assert np.abs(unwrapped).max() > io_.MAX_COORDINATE / 10
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "t,x,y\n"], ids=["empty", "blank", "header-only"])
 def test_file_without_data_prints_only_the_error(tmp_path, capsys, text):
     (tmp_path / "t.csv").write_text(text)
@@ -597,3 +629,59 @@ class TestUnreadSettingsAreRejected:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "swarmphase: error: xi1: must be finite\n"
         assert not (tmp_path / "out").exists()
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def python_process(args, cwd):
+    """Run ``python args`` in a new interpreter that imports swarmphase from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestExitPolicy:
+    """The CLI process freezes its heap at exit, so that the shutdown collections skip it."""
+
+    def test_heap_is_frozen_only_at_exit(self, tmp_path):
+        # the probe is registered first, so it runs after the CLI's hook
+        script = (
+            "import atexit, gc, sys\n"
+            "from swarmphase import cli\n"
+            "atexit.register(lambda: print('at exit:', gc.get_freeze_count() > 0))\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('after main:', gc.get_freeze_count())\n"
+            "sys.exit(code)\n"
+        )
+        args = ["simulate", "--scenario", "speed-switch", "--n-agents", "5", "--n-steps", "100", "--out", "out"]
+        done = python_process(["-c", script, *args], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-2:] == ["after main: 0", "at exit: True"]
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        assert cli.main(small_run_args(tmp_path)) == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--threshold", "1e-12"], 0),  # prints a ManifoldWarning line
+            (["--dt", "1e300"], 1),
+        ],
+        ids=["warning", "error"],
+    )
+    def test_process_matches_in_process_main(self, tmp_path, capsys, monkeypatch, args, code):
+        argv = ["run", "--scenario", "speed-switch", "--n-agents", "12", "--n-steps", "110", *args, "--out", "out"]
+        for name in ("process", "in-process"):
+            (tmp_path / name).mkdir()
+        done = python_process(["-m", "swarmphase.cli", *argv], tmp_path / "process")
+        monkeypatch.chdir(tmp_path / "in-process")
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert (done.stdout, done.stderr, done.returncode) == (captured.out, captured.err, code)
+        assert captured.err.startswith("swarmphase: ")
+        assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in-process")

@@ -24,6 +24,12 @@ def brute_neighbors(positions, radius, L, H):
     return out
 
 
+def minimum_image(deltas, half_width, half_height):
+    """Shortest periodic representative of displacement vectors."""
+    box = np.array([2.0 * half_width, 2.0 * half_height])
+    return deltas - box * np.round(deltas / box)
+
+
 def neighbor_lists(positions, radius, L, H):
     """``sim._adjacency`` as one list of neighbor indices per agent."""
     rows, cols = sim._adjacency(np.asarray(positions, dtype=float), radius, L, H)
@@ -304,7 +310,7 @@ def test_wrap_round_trip(x, y, L, H):
     st.floats(0.5, 10),
 )
 def test_minimum_image_is_shortest_representative(dx, dy, L, H):
-    mi = sim.minimum_image(np.array([dx, dy]), L, H)
+    mi = minimum_image(np.array([dx, dy]), L, H)
     assert abs(mi[0]) <= L * (1 + 1e-12)
     assert abs(mi[1]) <= H * (1 + 1e-12)
     shifts = (np.array([dx, dy]) - mi) / np.array([2 * L, 2 * H])
@@ -314,7 +320,7 @@ def test_minimum_image_is_shortest_representative(dx, dy, L, H):
 def dense_step(wrapped, unwrapped, headings, params, step_index, rng):
     """The dense minimum-image update step: an N x N x 2 delta tensor and a per-agent mean."""
     n = params.n_agents
-    deltas = sim.minimum_image(wrapped[:, None, :] - wrapped[None, :, :], params.half_width, params.half_height)
+    deltas = minimum_image(wrapped[:, None, :] - wrapped[None, :, :], params.half_width, params.half_height)
     within = np.einsum("ijk,ijk->ij", deltas, deltas) <= params.interaction_radius * params.interaction_radius
     units = np.column_stack((np.cos(headings), np.sin(headings)))
     if params.rotations is None:

@@ -152,6 +152,9 @@ ARGUMENT_SETS = {
     "whitespace-lines": ["analyze", "--input", "{whitespace}"],
     # exits 1 at load; before the limit it exited 1 at observables, after overflow warnings
     "huge": ["analyze", "--input", "{huge}", "--min-len", "2"],
+    # exits 1 at sim; before the limit it exited 1 at observables, after overflow
+    # and low-confidence warnings
+    "huge-dt": [*SPEED, "--n-agents", "10", "--n-steps", "100", "--dt", "1e300"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
