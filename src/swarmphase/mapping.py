@@ -55,7 +55,6 @@ class CorrespondenceMap:
     permutation: np.ndarray
     bijective: np.ndarray
     velocities: np.ndarray
-    domain_mean_velocity: np.ndarray
     mean_velocity: np.ndarray
 
     @property
@@ -202,7 +201,6 @@ def _match(source: np.ndarray, target: np.ndarray, first_step: int) -> list[Corr
             permutation=permutation[f],
             bijective=mask[f],
             velocities=velocities[f],
-            domain_mean_velocity=mu1[f],
             mean_velocity=mean_velocity[f],
         )
         for f in range(n_pairs)

@@ -54,20 +54,19 @@ class PhaseSegmentation:
         return len({seg.label for seg in self.segments if seg.label is not None})
 
 
-def two_means_split(values: np.ndarray) -> tuple[float | None, np.ndarray]:
+def two_means_split(values: np.ndarray) -> np.ndarray:
     """Deterministic 1-D two-means classification.
 
     Centers start at the minimum and maximum, points go to the closer
-    center, and centers are recomputed until stable. Returns the midpoint of
-    the final centers and the class of every value; a constant series yields
-    ``(None, all zeros)``.
+    center, and centers are recomputed until stable. Returns the class of
+    every value; a constant series is all class 0.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-D array")
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
-        return None, np.zeros(v.size, dtype=int)
+        return np.zeros(v.size, dtype=int)
     c0, c1 = lo, hi
     classes = np.zeros(v.size, dtype=int)
     for _ in range(200):
@@ -81,7 +80,7 @@ def two_means_split(values: np.ndarray) -> tuple[float | None, np.ndarray]:
         classes = new_classes
         c0 = float(v[classes == 0].mean())
         c1 = float(v[classes == 1].mean())
-    return 0.5 * (c0 + c1), classes
+    return classes
 
 
 def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentation:
@@ -98,7 +97,7 @@ def segment_series(values: np.ndarray, min_length: int = 10) -> PhaseSegmentatio
     if v.size < 2 * min_length:
         raise ValueError(f"series of length {v.size} is too short for min_length {min_length}")
 
-    _, classes = two_means_split(v)
+    classes = two_means_split(v)
     bounds = [0, *(np.flatnonzero(np.diff(classes)) + 1).tolist(), v.size]
     lengths = [end - start for start, end in zip(bounds, bounds[1:])]
     while len(lengths) > 1:

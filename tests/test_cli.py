@@ -519,6 +519,23 @@ class TestHugeCoordinates:
         assert capsys.readouterr().err.splitlines() == [f"swarmphase: error: sim: {line} exceeds 1e140 in magnitude"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "setting, line",
+        [
+            (["--half-height", "1e308"], "half_height: the box side 2 * 1e+308 is not finite"),
+            (["--half-width", "1e308"], "half_width: the box side 2 * 1e+308 is not finite"),
+            (["--dt", "1e308"], "frame 2: coordinate 4.056639342290926e+306 exceeds 1e140 in magnitude"),
+        ],
+        ids=["half-height-1e308", "half-width-1e308", "dt-1e308"],
+    )
+    def test_overflow_prints_only_the_error(self, tmp_path, capsys, setting, line):
+        # an infinite box side would make every neighbour test NaN, and an
+        # overflow inside the step loop must not warn ahead of the limit error
+        argv = ["run", "--scenario", "speed-switch", "--n-agents", "10", "--n-steps", "100", *setting]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"swarmphase: error: sim: {line}"]
+        assert not (tmp_path / "out").exists()
+
     def test_simulated_track_near_the_limit_loads(self, tmp_path, capsys):
         argv = ["simulate", "--scenario", "speed-switch", "--n-agents", "10", "--n-steps", "100", "--dt", "1e139"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0

@@ -207,7 +207,6 @@ class TestOtherWriters:
             permutation=np.array([1, 0]),
             bijective=np.array([True, False]),
             velocities=np.array([[0.1, 0.0], [0.0, -0.2]]),
-            domain_mean_velocity=np.array([0.1, 0.0]),
             mean_velocity=np.array([0.05, -0.1]),
         )
         path = tmp_path / "c.csv"
@@ -336,7 +335,6 @@ class TestFrameAtATimeWriters:
                 permutation=np.roll(np.arange(n), t),
                 bijective=np.arange(n) % 2 == t % 2,
                 velocities=v,
-                domain_mean_velocity=np.zeros(2),
                 mean_velocity=np.zeros(2),
             )
             for t, v in enumerate(velocities)

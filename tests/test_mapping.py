@@ -128,7 +128,7 @@ class TestCorrespond:
         assert list(m.permutation) == [0, 1]
         assert list(m.bijective) == [True, False]
         assert np.allclose(m.velocities, [[0.2, 0.0], [0.4, 0.0]])
-        assert np.allclose(m.domain_mean_velocity, [0.2, 0.0])
+        assert np.allclose(m.velocities[m.bijective].mean(axis=0), [0.2, 0.0])
         assert np.allclose(m.mean_velocity, [0.3, 0.0])
 
     def test_rigid_translation(self):
@@ -173,12 +173,14 @@ class TestCorrespond:
         m = mapping.correspond(a, b)
         leftovers = np.flatnonzero(~m.bijective)
         assert leftovers.size == 2
-        # oracle: brute force over all pairings minimizing total deviation from mu1
+        # oracle: brute force over all pairings minimizing total deviation from
+        # mu1, the mean velocity of the conflict-free matches
         free = np.setdiff1d(np.arange(5), m.permutation[m.bijective])
+        mu1 = m.velocities[m.bijective].mean(axis=0)
         best, best_cost = None, np.inf
         for perm in itertools.permutations(free):
             cost = sum(
-                np.linalg.norm(b[j] - a[i] - m.domain_mean_velocity)
+                np.linalg.norm(b[j] - a[i] - mu1)
                 for i, j in zip(leftovers, perm)
             )
             if cost < best_cost:
@@ -369,7 +371,7 @@ def looped_velocities(track):
             velocities[i] = target[j] - source[i]
         if mask.sum() < n / 2:
             messages.append(f"step {t + 1}: only {mask.sum()} of {n} agents matched without conflicts")
-        maps.append((permutation, mask, velocities, mu1, velocities.mean(axis=0)))
+        maps.append((permutation, mask, velocities, velocities.mean(axis=0)))
     return maps, messages
 
 
@@ -398,13 +400,11 @@ def test_velocities_match_the_per_pair_loop(track):
         expected, messages = looped_velocities(track)
     assert [str(w.message) for w in caught if w.category is mapping.LowConfidenceMatchWarning] == messages
     assert [m.step for m in maps] == list(range(1, track.shape[0]))
-    for m, (permutation, mask, vel, mu1, mean) in zip(maps, expected, strict=True):
+    for m, (permutation, mask, vel, mean) in zip(maps, expected, strict=True):
         assert np.array_equal(m.permutation, permutation)
         assert np.array_equal(m.bijective, mask)
         assert np.array_equal(m.velocities, vel)
-        assert np.array_equal(m.domain_mean_velocity, mu1)
         assert np.array_equal(m.mean_velocity, mean)
-        assert np.array_equal(np.signbit(m.domain_mean_velocity), np.signbit(mu1))
         assert np.array_equal(np.signbit(m.mean_velocity), np.signbit(mean))
 
 

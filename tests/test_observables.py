@@ -22,7 +22,6 @@ def fake_map(velocities, step=1):
         permutation=np.arange(n),
         bijective=np.ones(n, dtype=bool),
         velocities=v,
-        domain_mean_velocity=v.mean(axis=0),
         mean_velocity=v.mean(axis=0),
     )
 

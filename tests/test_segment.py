@@ -144,8 +144,8 @@ def runs_of(classes):
 def closer_mean_segmentation(values, min_length):
     """Reference merge: a short run takes the class of the neighbor with the closer mean."""
     v = np.asarray(values, dtype=float)
-    split, classes = segment.two_means_split(v)
-    if split is None:
+    classes = segment.two_means_split(v)
+    if v.min() == v.max():
         return [(1, v.size, float(v.mean()))]
     runs = runs_of(classes)
     while len(runs) > 1:

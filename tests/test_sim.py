@@ -93,8 +93,7 @@ def single_agent_params(**kw):
         half_height=5.0,
         speed_base=np.array([0.05]),
         speed_jitter=0.0,
-        noise_low=np.array([0.0]),
-        noise_high=np.array([0.0]),
+        noise=np.array([0.0]),
         dt=0.05,
     )
     defaults.update(kw)
@@ -158,9 +157,9 @@ class TestSchedules:
 
     def test_noise_switch_bounds(self):
         p = sim.scenario_noise_switch()
-        assert p.noise_high[9] == 0.01 and p.noise_low[9] == -0.01
-        assert p.noise_high[74] == 0.2 and p.noise_low[74] == -0.2
-        assert p.noise_high[119] == 0.01
+        assert p.noise[9] == 0.01
+        assert p.noise[74] == 0.2
+        assert p.noise[119] == 0.01
         with pytest.raises(ValueError, match="^noise-switch schedule needs n_steps >= 100$"):
             sim.scenario_noise_switch(n_steps=80)
 
@@ -171,12 +170,10 @@ class TestSchedules:
         middle = (t >= 50) & (t < 100)
         speed = sim.scenario_speed_switch(n_steps=n_steps)
         assert np.array_equal(speed.speed_base, np.where(middle, 0.1, 0.05))
-        assert np.array_equal(speed.noise_low, np.where(middle, -0.01, -0.01))
-        assert np.array_equal(speed.noise_high, np.where(middle, 0.01, 0.01))
+        assert np.array_equal(speed.noise, np.where(middle, 0.01, 0.01))
         noise = sim.scenario_noise_switch(n_steps=n_steps)
         assert np.array_equal(noise.speed_base, np.where(middle, 0.05, 0.05))
-        assert np.array_equal(noise.noise_low, np.where(middle, -0.2, -0.01))
-        assert np.array_equal(noise.noise_high, np.where(middle, 0.2, 0.01))
+        assert np.array_equal(noise.noise, np.where(middle, 0.2, 0.01))
 
     def test_split_rejects_odd_agents(self):
         with pytest.raises(ValueError):
@@ -190,7 +187,20 @@ class TestSchedules:
 
     def test_split_halves_are_transposed_rotations(self):
         p = sim.scenario_split_rejoin(n_agents=50, n_steps=220)
-        assert np.allclose(p.rotations[:, 0], np.transpose(p.rotations[:, -1], (0, 2, 1)))
+        turns = sim.rotation_matrices(p.rotations)
+        assert np.allclose(turns[:, 0], np.transpose(turns[:, -1], (0, 2, 1)))
+
+    @pytest.mark.parametrize("n_agents, n_steps", [(2, 2), (10, 120), (50, 220), (60, 600)])
+    def test_split_turns_are_the_two_halves_matrices(self, n_agents, n_steps):
+        # each half turns by one stack of matrices, broadcast over its agents
+        gamma = sim.split_rotation_angles(sim.split_reference_path(n_steps))
+        half = n_agents // 2
+        want = np.empty((n_steps - 1, n_agents, 2, 2))
+        want[:, :half] = sim.rotation_matrices(gamma)[:, None]
+        want[:, half:] = sim.rotation_matrices(-gamma)[:, None]
+        p = sim.scenario_split_rejoin(n_agents=n_agents, n_steps=n_steps)
+        assert p.rotations.shape == (n_steps - 1, n_agents)
+        assert np.array_equal(sim.rotation_matrices(p.rotations), want)
 
     def test_flat_tangent_gives_zero_angle(self):
         path = np.column_stack((np.arange(5.0), np.ones(5)))
@@ -198,9 +208,10 @@ class TestSchedules:
 
     def test_rotation_matrices_orthogonal(self):
         p = sim.scenario_split_rejoin(n_agents=10, n_steps=120)
-        rtr = np.einsum("...ji,...jk->...ik", p.rotations, p.rotations)
+        turns = sim.rotation_matrices(p.rotations)
+        rtr = np.einsum("...ji,...jk->...ik", turns, turns)
         assert np.allclose(rtr, np.eye(2), atol=1e-12)
-        det = np.linalg.det(p.rotations.reshape(-1, 2, 2))
+        det = np.linalg.det(turns.reshape(-1, 2, 2))
         assert np.allclose(det, 1.0, atol=1e-12)
 
     def test_literal_sigmoid_saturates(self):
@@ -233,8 +244,7 @@ class TestSimulate:
             n_agents=8,
             n_steps=40,
             speed_base=np.full(39, 0.05),
-            noise_low=np.zeros(39),
-            noise_high=np.zeros(39),
+            noise=np.zeros(39),
         )
         ds = sim.simulate(p)
         steps = np.diff(ds.unwrapped, axis=0)
@@ -262,19 +272,29 @@ class TestSimulate:
 
 
 class TestParamValidation:
-    def test_noise_bounds_must_be_ordered(self):
-        with pytest.raises(ValueError, match="noise bounds"):
-            single_agent_params(noise_low=np.array([0.2]), noise_high=np.array([0.1]))
+    @pytest.mark.parametrize("value", [-0.1, -5e-324, np.nan, np.inf], ids=["negative", "tiny-negative", "nan", "inf"])
+    def test_noise_must_be_a_non_negative_amplitude(self, value):
+        with pytest.raises(ValueError, match="^noise amplitudes must be finite and non-negative$"):
+            single_agent_params(n_steps=3, noise=np.array([0.1, value]))
 
-    def test_rotations_must_be_orthogonal(self):
-        bad = np.tile(np.array([[1.0, 0.0], [0.0, 2.0]]), (1, 1, 1, 1))
-        with pytest.raises(ValueError, match="orthogonal"):
-            single_agent_params(rotations=bad)
+    @pytest.mark.parametrize(
+        "shape", [(1,), (1, 2), (2, 1), (1, 1, 2, 2)], ids=["per-step", "two-agents", "two-steps", "matrices"]
+    )
+    def test_rotations_must_be_one_angle_per_step_and_agent(self, shape):
+        with pytest.raises(ValueError, match=r"^rotations must have shape \(1, 1\), got "):
+            single_agent_params(rotations=np.zeros(shape))
 
-    def test_reflection_rejected(self):
-        bad = np.tile(np.array([[1.0, 0.0], [0.0, -1.0]]), (1, 1, 1, 1))
-        with pytest.raises(ValueError, match="determinant"):
-            single_agent_params(rotations=bad)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rotation_angles_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^rotation angles must be finite$"):
+            single_agent_params(n_agents=2, rotations=np.array([[0.5, value]]))
+
+    @pytest.mark.parametrize("key", ["half_width", "half_height"])
+    def test_box_side_must_not_overflow(self, key):
+        with pytest.raises(ValueError, match=f"^{key}: the box side 2 \\* 1e\\+308 is not finite$"):
+            single_agent_params(**{key: 1e308})
+        # the largest half size whose double is finite still builds
+        assert getattr(single_agent_params(**{key: np.finfo(float).max / 2}), key) > 8e307
 
     @pytest.mark.parametrize("field,value", [("n_agents", 0), ("n_steps", 1), ("dt", 0.0)])
     def test_basic_bounds(self, field, value):
@@ -326,12 +346,14 @@ def dense_step(wrapped, unwrapped, headings, params, step_index, rng):
     if params.rotations is None:
         deflected = units
     else:
-        deflected = np.einsum("nij,nj->ni", params.rotations[step_index], units)
+        # each agent's unit heading turned by its angle, written out
+        c, s = np.cos(params.rotations[step_index]), np.sin(params.rotations[step_index])
+        deflected = np.column_stack((c * units[:, 0] - s * units[:, 1], s * units[:, 0] + c * units[:, 1]))
     alignment = np.empty_like(deflected)
     for i, row in enumerate(within):
         alignment[i] = deflected[np.flatnonzero(row)].mean(axis=0)
     jitter = rng.uniform(-params.speed_jitter, params.speed_jitter, n)
-    noise = rng.uniform(params.noise_low[step_index], params.noise_high[step_index], n)
+    noise = rng.uniform(-params.noise[step_index], params.noise[step_index], n)
     speeds = params.speed_base[step_index] + jitter
     displacement = (speeds * params.dt)[:, None] * deflected
     new_wrapped = sim.wrap_positions(wrapped + displacement, params.half_width, params.half_height)

@@ -155,6 +155,12 @@ ARGUMENT_SETS = {
     # exits 1 at sim; before the limit it exited 1 at observables, after overflow
     # and low-confidence warnings
     "huge-dt": [*SPEED, "--n-agents", "10", "--n-steps", "100", "--dt", "1e300"],
+    # exits 1 at sim: the box side 2 * 1e308 is not finite; before that check it
+    # exited 0 after two "invalid value" warnings, with no agent its own neighbour
+    "huge-box": [*SPEED, "--n-agents", "10", "--n-steps", "100", "--half-height", "1e308"],
+    # exits 1 at sim, frame 2; before the step loop ignored overflow it first
+    # warned "overflow encountered in add"
+    "overflow-dt": [*SPEED, "--n-agents", "10", "--n-steps", "100", "--dt", "1e308"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
