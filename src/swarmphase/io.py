@@ -209,14 +209,14 @@ def save_embedding_csv(path, coordinates: np.ndarray) -> None:
 
 
 def save_correspondence_csv(path, maps) -> None:
-    """Debug dump of per-step permutations and velocities."""
+    """Debug dump of a correspondence record's permutations and velocities, per step and agent."""
     with open(path, "w") as out:
         out.write("t,source,target,bijective,vx,vy\n")
-        rows = _rows(maps[0].n_agents if maps else 0, "%d,%d,%.17g,%.17g", "{0},")
-        for m in maps:
+        rows = _rows(maps.n_agents, "%d,%d,%.17g,%.17g", "{0},")
+        for t, perm, bij, v in zip(maps.step, maps.permutation, maps.bijective, maps.velocities):
             # one float table per step; %d prints the integral target and flag columns
-            table = np.column_stack((m.permutation + 1, m.bijective, m.velocities))
-            out.write(rows.format(m.step) % tuple(table.ravel().tolist()))
+            table = np.column_stack((perm + 1, bij, v))
+            out.write(rows.format(t) % tuple(table.ravel().tolist()))
 
 
 def save_distance_pgm(path, delta: np.ndarray) -> None:

@@ -22,14 +22,14 @@ displacement to its matched target.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
-# velocities matches runs of frame pairs holding about this many agents at
-# once: every pair's (N, 2) arrays of a run are alive together, and one run
-# of all frames raised crowd's peak RSS by 0.8%
+# _match matches runs of frame pairs holding about this many agents at once:
+# every pair's (N, 2) temporaries of a run are alive together, and one run of
+# all frames raised crowd's peak RSS by 0.8%
 _BLOCK_AGENTS = 1 << 12
 
 # _nearest holds at most this many (source, target) squared distances at
@@ -49,9 +49,12 @@ class CorrespondenceMap:
     ``j``. ``bijective`` marks the sources whose nearest-neighbor proposal
     was accepted without conflict; ``velocities[i]`` is the displacement of
     agent ``i`` to its matched target (units: length per step).
+
+    The record of a whole run stacks every field along a leading step axis:
+    an int index gives one step's map, and a slice a record of views.
     """
 
-    step: int
+    step: int | np.ndarray
     permutation: np.ndarray
     bijective: np.ndarray
     velocities: np.ndarray
@@ -59,10 +62,17 @@ class CorrespondenceMap:
 
     @property
     def n_agents(self) -> int:
-        return self.permutation.shape[0]
+        return self.permutation.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, index) -> CorrespondenceMap:
+        return CorrespondenceMap(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _frame_pair(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frame_pair(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The two frames, checked, as one ``(2, N, 2)`` array."""
     pair = []
     for config, name in ((source, "source"), (target, "target")):
         pts = np.asarray(config, dtype=float)
@@ -73,7 +83,7 @@ def _frame_pair(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
         pair.append(pts)
     if pair[0].shape[0] != pair[1].shape[0]:
         raise ValueError("source and target must contain the same number of agents")
-    return pair[0], pair[1]
+    return np.stack(pair)
 
 
 def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -83,17 +93,16 @@ def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     taken as they are, never folded into a periodic domain, so a track that
     wraps should be given unwrapped.
     """
-    source, target = _frame_pair(source, target)
-    return _nearest(source[None], target[None])[0]
+    pair = _frame_pair(source, target)
+    return _nearest(pair[:1], pair[1:], np.empty((1, pair.shape[1]), dtype=np.intp))[0]
 
 
-def _nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, ``(P, N)`` out.
+def _nearest(source: np.ndarray, target: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """``nearest_neighbor_map`` of P frame pairs at once, ``(P, N, 2)`` in, into ``candidates (P, N)``.
 
     ``np.argmin`` returns the first of equal minima, the lowest target index.
     """
     n_pairs, n = source.shape[:2]
-    candidates = np.empty((n_pairs, n), dtype=np.intp)
     # whole frames per block while N*N fits, else one frame in runs of rows
     frames = max(_BLOCK_CELLS // max(n * n, 1), 1)
     rows = max(_BLOCK_CELLS // max(n, 1), 1)
@@ -170,51 +179,56 @@ def _residual_match(
         closed[frames, best] = True
 
 
-def _match(source: np.ndarray, target: np.ndarray, first_step: int) -> list[CorrespondenceMap]:
-    """Correspondence maps of P frame pairs at once, given as ``(P, N, 2)`` arrays."""
-    n_pairs, n = source.shape[:2]
+def _match(track: np.ndarray, first_step: int) -> CorrespondenceMap:
+    """Correspondence record of every consecutive frame pair of a ``(T, N, 2)`` track.
+
+    The record is allocated once; runs of frame pairs fill their slices of it in turn.
+    """
+    n_pairs, n = track.shape[0] - 1, track.shape[1]
     if n == 0:
         raise ValueError("correspondence needs at least 1 agent per frame, found 0")
-    pair = np.arange(n_pairs)[:, None]
-    candidates = _nearest(source, target)
-    cand_disp = target[pair, candidates] - source
-    # the frame is the outermost key, so each frame keeps its own closest claimants
-    mask = extract_bijective_domain(
-        (candidates + n * pair).ravel(), np.linalg.norm(cand_disp, axis=2).ravel()
-    ).reshape(n_pairs, n)
+    out = CorrespondenceMap(
+        step=np.arange(first_step, first_step + n_pairs),
+        permutation=np.empty((n_pairs, n), dtype=np.intp),
+        bijective=np.empty((n_pairs, n), dtype=bool),
+        velocities=np.empty((n_pairs, n, 2)),
+        mean_velocity=np.empty((n_pairs, 2)),
+    )
+    block = max(_BLOCK_AGENTS // n, 1)
+    sources, targets = track[:-1], track[1:]
+    for start in range(0, n_pairs, block):
+        chunk = slice(start, start + block)
+        part, source, target = out[chunk], sources[chunk], targets[chunk]
+        permutation, mask, velocities = part.permutation, part.bijective, part.velocities
+        pair = np.arange(len(source))[:, None]
+        _nearest(source, target, permutation)
+        cand_disp = np.subtract(target[pair, permutation], source, out=velocities)
+        # the frame is the outermost key, so each frame keeps its own closest claimants
+        mask[...] = extract_bijective_domain(
+            (permutation + n * pair).ravel(), np.linalg.norm(cand_disp, axis=2).ravel()
+        ).reshape(mask.shape)
 
-    # every frame accepts at least one proposal; bincount sums each frame
-    # from zero in source order, the bits of velocities[mask].mean(axis=0)
-    accepted_frame = np.nonzero(mask)[0]
-    accepted = cand_disp[mask]
-    domain_sums = [np.bincount(accepted_frame, weights=accepted[:, a]) for a in (0, 1)]
-    mu1 = np.stack(domain_sums, axis=1) / np.bincount(accepted_frame)[:, None]
+        # every frame accepts at least one proposal; bincount sums each frame
+        # from zero in source order, the bits of velocities[mask].mean(axis=0)
+        accepted_frame = np.nonzero(mask)[0]
+        accepted = cand_disp[mask]
+        domain_sums = [np.bincount(accepted_frame, weights=accepted[:, a]) for a in (0, 1)]
+        mu1 = np.stack(domain_sums, axis=1) / np.bincount(accepted_frame)[:, None]
 
-    permutation, velocities = candidates, cand_disp
-    _residual_match(permutation, ~mask, source, target, mu1)
-    frames, rows = np.nonzero(~mask)
-    velocities[frames, rows] = target[frames, permutation[frames, rows]] - source[frames, rows]
-    mean_velocity = velocities.mean(axis=1)
-    return [
-        CorrespondenceMap(
-            step=first_step + f,
-            permutation=permutation[f],
-            bijective=mask[f],
-            velocities=velocities[f],
-            mean_velocity=mean_velocity[f],
-        )
-        for f in range(n_pairs)
-    ]
+        _residual_match(permutation, ~mask, source, target, mu1)
+        frames, rows = np.nonzero(~mask)
+        velocities[frames, rows] = target[frames, permutation[frames, rows]] - source[frames, rows]
+        velocities.mean(axis=1, out=part.mean_velocity)
+    return out
 
 
 def correspond(source: np.ndarray, target: np.ndarray, step: int = 1) -> CorrespondenceMap:
     """Full bijective correspondence between two consecutive frames."""
-    source, target = _frame_pair(source, target)
-    return _match(source[None], target[None], step)[0]
+    return _match(_frame_pair(source, target), step)[0]
 
 
-def velocities(dataset) -> list[CorrespondenceMap]:
-    """Correspondence maps for every consecutive frame pair of the dataset's analysis track.
+def velocities(dataset) -> CorrespondenceMap:
+    """Correspondence record of every consecutive frame pair of the dataset's analysis track.
 
     Emits a ``LowConfidenceMatchWarning`` for steps where fewer than half the
     agents matched without conflicts. Distances are plain on either track: a
@@ -225,26 +239,19 @@ def velocities(dataset) -> list[CorrespondenceMap]:
         raise ValueError("need at least 2 frames")
     if not np.isfinite(track).all():
         raise ValueError("track positions must be finite")
-    n = track.shape[1]
-    # max(n, 1): an empty track reaches _match, which rejects it by agent count
-    block = max(_BLOCK_AGENTS // max(n, 1), 1)
-    sources, targets = track[:-1], track[1:]
-    maps = []
-    for start in range(0, len(sources), block):
-        chunk = slice(start, start + block)
-        maps.extend(_match(sources[chunk], targets[chunk], start + 1))
-    for m in maps:
-        matched = int(m.bijective.sum())
-        if matched < n / 2:
-            warnings.warn(
-                f"step {m.step}: only {matched} of {n} agents matched without conflicts",
-                LowConfidenceMatchWarning,
-                stacklevel=2,
-            )
+    maps = _match(track, 1)
+    n = maps.n_agents
+    matched = maps.bijective.sum(axis=1)
+    for s in np.flatnonzero(matched < n / 2):
+        warnings.warn(
+            f"step {maps.step[s]}: only {matched[s]} of {n} agents matched without conflicts",
+            LowConfidenceMatchWarning,
+            stacklevel=2,
+        )
     return maps
 
 
-def canonicalize_order(positions: np.ndarray, maps: list[CorrespondenceMap]) -> np.ndarray:
+def canonicalize_order(positions: np.ndarray, maps: CorrespondenceMap) -> np.ndarray:
     """Reorder every frame so one slot follows one physical agent.
 
     Slot ``i`` starts as agent ``i`` of the first frame and is threaded
@@ -257,7 +264,7 @@ def canonicalize_order(positions: np.ndarray, maps: list[CorrespondenceMap]) -> 
     out = np.empty_like(positions)
     out[0] = positions[0]
     slots = np.arange(positions.shape[1])
-    for t, m in enumerate(maps):
-        slots = m.permutation[slots]
+    for t, permutation in enumerate(maps.permutation):
+        slots = permutation[slots]
         out[t + 1] = positions[t + 1][slots]
     return out

@@ -44,8 +44,6 @@ class ObservableSeries:
     polarization: np.ndarray
     components: np.ndarray
     coarse: np.ndarray
-    weight_speed: float
-    weight_polarization: float
     epsilon: float
 
 
@@ -55,7 +53,8 @@ def group_speed_series(maps) -> np.ndarray:
     The normalization needs the whole series (two passes). An all-zero
     series is returned as all zeros (with a warning) instead of 0/0.
     """
-    norms = np.array([float(np.linalg.norm(m.mean_velocity)) for m in maps])
+    # one 1-D norm per step: a norm along axis 1 can differ in the last bit
+    norms = np.array([float(np.linalg.norm(v)) for v in maps.mean_velocity])
     if norms.size == 0:
         raise ValueError("need at least one correspondence step")
     peak = norms.max()
@@ -85,7 +84,7 @@ def polarization(velocities: np.ndarray) -> float:
 
 
 def polarization_series(maps) -> np.ndarray:
-    return np.array([polarization(m.velocities) for m in maps])
+    return np.array([polarization(v) for v in maps.velocities])
 
 
 def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float:
@@ -210,7 +209,7 @@ def compute_observables(
     weight_polarization: float = 1.0 / 3.0,
     epsilon_mode: str = "all_pairs",
 ) -> ObservableSeries:
-    """Full observable series for a dataset's analysis track and its correspondence maps.
+    """Full observable series for a dataset's analysis track and its correspondence record.
 
     The interaction radius aggregates over all frames; component counts and
     polarization are evaluated at the source frame of each step.
@@ -232,7 +231,5 @@ def compute_observables(
         polarization=pol,
         components=components,
         coarse=coarse,
-        weight_speed=weight_speed,
-        weight_polarization=weight_polarization,
         epsilon=epsilon,
     )

@@ -229,8 +229,8 @@ def _summary_lines(config, dataset, series, segmentation, segment_reports, full_
         lines.append(f"input: {config.input_path}")
     lines.append(f"frames: {dataset.n_frames}")
     lines.append(f"agents: {dataset.n_agents}")
-    lines.append(f"xi1: {io_.format_float(series.weight_speed)}")
-    lines.append(f"xi2: {io_.format_float(series.weight_polarization)}")
+    lines.append(f"xi1: {io_.format_float(config.xi1)}")
+    lines.append(f"xi2: {io_.format_float(config.xi2)}")
     lines.append(f"epsilon_mode: {config.epsilon_mode}")
     lines.append(f"epsilon: {io_.format_float(series.epsilon)}")
     lines.append(f"isomap_k_requested: {config.k}")

@@ -59,14 +59,9 @@ def wrap_positions(positions: np.ndarray, half_width: float, half_height: float)
     """Map positions into ``[-L, L) x [-H, H)``."""
     lo = np.array([-half_width, -half_height])
     box = np.array([2.0 * half_width, 2.0 * half_height])
-    return into_box(positions - lo, box) + lo
-
-
-def into_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Coordinates modulo ``box``, inside ``[0, box)``."""
     # np.mod can round a tiny negative up to the box edge itself; fold it back
-    shifted = np.mod(points, box)
-    return np.where(shifted >= box, 0.0, shifted)
+    shifted = np.mod(positions - lo, box)
+    return np.where(shifted >= box, 0.0, shifted) + lo
 
 
 @dataclass

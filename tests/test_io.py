@@ -172,8 +172,6 @@ class TestOtherWriters:
             polarization=np.array([1.0, 0.25]),
             components=np.array([1, 2]),
             coarse=np.array([0.5, 0.42]),
-            weight_speed=1 / 3,
-            weight_polarization=1 / 3,
             epsilon=1.5,
         )
         path = tmp_path / "obs.csv"
@@ -202,15 +200,15 @@ class TestOtherWriters:
         assert (tmp_path / "e.csv").read_text().splitlines() == ["index,x1,x2", "1,1,2"]
 
     def test_correspondence_csv(self, tmp_path):
-        m = CorrespondenceMap(
-            step=1,
-            permutation=np.array([1, 0]),
-            bijective=np.array([True, False]),
-            velocities=np.array([[0.1, 0.0], [0.0, -0.2]]),
-            mean_velocity=np.array([0.05, -0.1]),
+        maps = CorrespondenceMap(
+            step=np.array([1]),
+            permutation=np.array([[1, 0]]),
+            bijective=np.array([[True, False]]),
+            velocities=np.array([[[0.1, 0.0], [0.0, -0.2]]]),
+            mean_velocity=np.array([[0.05, -0.1]]),
         )
         path = tmp_path / "c.csv"
-        io_.save_correspondence_csv(path, [m])
+        io_.save_correspondence_csv(path, maps)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,source,target,bijective,vx,vy"
         assert lines[1] == f"1,1,2,1,{0.1:.17g},0"
@@ -328,17 +326,15 @@ class TestFrameAtATimeWriters:
     @settings(max_examples=50, deadline=None)
     @given(trajectories())
     def test_correspondence_bytes_match_the_per_row_reference(self, tmp_path_factory, velocities):
-        n = velocities.shape[1]
-        maps = [
-            CorrespondenceMap(
-                step=t + 1,
-                permutation=np.roll(np.arange(n), t),
-                bijective=np.arange(n) % 2 == t % 2,
-                velocities=v,
-                mean_velocity=np.zeros(2),
-            )
-            for t, v in enumerate(velocities)
-        ]
+        steps, n = velocities.shape[:2]
+        t = np.arange(steps)[:, None]
+        maps = CorrespondenceMap(
+            step=np.arange(1, steps + 1),
+            permutation=(np.arange(n) - t) % n,
+            bijective=np.arange(n) % 2 == t % 2,
+            velocities=velocities,
+            mean_velocity=np.zeros((steps, 2)),
+        )
         path = tmp_path_factory.mktemp("csv") / "c.csv"
         io_.save_correspondence_csv(path, maps)
         expected = ["t,source,target,bijective,vx,vy"] + [
@@ -359,8 +355,6 @@ def observable_series(speed, polarization, components, coarse):
         polarization=np.array(polarization, dtype=float),
         components=np.array(components, dtype=int),
         coarse=np.array(coarse, dtype=float),
-        weight_speed=1 / 3,
-        weight_polarization=1 / 3,
         epsilon=1.0,
     )
 

@@ -436,6 +436,72 @@ def test_velocities_match_the_per_pair_loop_across_frame_blocks():
     test_velocities_match_the_per_pair_loop.hypothesis.inner_test(track)
 
 
+class TestStackedRecord:
+    """``velocities`` returns one record whose fields carry a leading step axis."""
+
+    @pytest.fixture(scope="class")
+    def track(self):
+        # 40 agents are matched 102 frame pairs at a time: 299 pairs span 3
+        # blocks; frame 103 collapses, so steps 102 and 103 warn, one on each
+        # side of the first block edge
+        n_frames, n = 300, 40
+        assert mapping._BLOCK_AGENTS // n == 102
+        rng = np.random.default_rng(23)
+        steps = rng.normal(scale=0.1, size=(n_frames, n, 2))
+        track = rng.uniform(-2.0, 2.0, size=(1, n, 2)) + np.cumsum(steps, axis=0)
+        track[102] = track[102].mean(axis=0) + 1e-3 * np.arange(n)[:, None]
+        return track
+
+    @pytest.fixture(scope="class")
+    def maps(self, track):
+        with pytest.warns(mapping.LowConfidenceMatchWarning) as caught:
+            maps = mapping.velocities(sim.TrajectoryDataset(wrapped=track))
+        assert [str(w.message).split(":")[0] for w in caught] == ["step 102", "step 103"]
+        return maps
+
+    def test_fields_are_stacked_by_step(self, track, maps):
+        t, n = track.shape[:2]
+        assert len(maps) == t - 1
+        assert maps.n_agents == n
+        assert np.array_equal(maps.step, np.arange(1, t))
+        assert maps.permutation.shape == maps.bijective.shape == (t - 1, n)
+        assert maps.velocities.shape == (t - 1, n, 2)
+        assert maps.mean_velocity.shape == (t - 1, 2)
+
+    def test_an_int_index_is_that_steps_correspond(self, track, maps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", mapping.LowConfidenceMatchWarning)
+            for s in range(len(maps)):
+                one, want = maps[s], mapping.correspond(track[s], track[s + 1], s + 1)
+                assert one.step == want.step == s + 1
+                for name in ("permutation", "bijective", "velocities", "mean_velocity"):
+                    got, expected = getattr(one, name), getattr(want, name)
+                    assert got.shape == expected.shape and got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_a_slice_is_a_record_of_views(self, maps):
+        part = maps[101:104]
+        assert np.array_equal(part.step, [102, 103, 104])
+        for name in ("permutation", "bijective", "velocities", "mean_velocity"):
+            whole, view = getattr(maps, name), getattr(part, name)
+            assert view.shape == (3,) + whole.shape[1:]
+            assert np.shares_memory(view, whole)
+            assert np.array_equal(view, whole[101:104])
+
+    def test_iteration_gives_what_a_per_step_reader_needs(self, track, maps):
+        steps = list(maps)
+        n = track.shape[1]
+        assert [m.step for m in steps] == list(range(1, track.shape[0]))
+        assert all(m.n_agents == n for m in steps)
+        assert all(np.array_equal(np.sort(m.permutation), np.arange(n)) for m in steps)
+        assert [int(m.bijective.sum()) for m in steps] == maps.bijective.sum(axis=1).tolist()
+        residual = sum(m.n_agents - int(m.bijective.sum()) for m in steps)
+        assert int((~maps.bijective).sum()) == residual > 0
+
+    def test_the_record_matches_the_per_pair_loop(self, track):
+        test_velocities_match_the_per_pair_loop.hypothesis.inner_test(track)
+
+
 def test_velocities_use_plain_distances_on_either_track():
     # one agent steps (1, 3) in a 4 x 4 box and crosses its right edge
     unwrapped = np.array([[[1.5, 0.0]], [[2.5, 3.0]]])

@@ -14,29 +14,30 @@ from swarmphase import observables
 from swarmphase.mapping import CorrespondenceMap
 
 
-def fake_map(velocities, step=1):
+def fake_map(velocities):
+    """A correspondence record of identity maps with the given ``(T, N, 2)`` velocities."""
     v = np.asarray(velocities, dtype=float)
-    n = v.shape[0]
+    steps, n = v.shape[:2]
     return CorrespondenceMap(
-        step=step,
-        permutation=np.arange(n),
-        bijective=np.ones(n, dtype=bool),
+        step=np.arange(1, steps + 1),
+        permutation=np.broadcast_to(np.arange(n), (steps, n)),
+        bijective=np.ones((steps, n), dtype=bool),
         velocities=v,
-        mean_velocity=v.mean(axis=0),
+        mean_velocity=v.mean(axis=1),
     )
 
 
 class TestGroupSpeed:
     def test_constant_translation_is_all_ones(self):
-        maps = [fake_map(np.tile([0.1, 0.0], (5, 1)), step=t) for t in range(1, 4)]
+        maps = fake_map(np.tile([0.1, 0.0], (3, 5, 1)))
         assert np.allclose(observables.group_speed_series(maps), 1.0)
 
     def test_normalization_example(self):
-        maps = [fake_map(np.tile([v, 0.0], (3, 1))) for v in (0.05, 0.1, 0.05)]
+        maps = fake_map([np.tile([v, 0.0], (3, 1)) for v in (0.05, 0.1, 0.05)])
         assert np.allclose(observables.group_speed_series(maps), [0.5, 1.0, 0.5])
 
     def test_stationary_group_warns_and_zeros(self):
-        maps = [fake_map(np.zeros((4, 2)))]
+        maps = fake_map(np.zeros((1, 4, 2)))
         with pytest.warns(observables.DegenerateSeriesWarning):
             out = observables.group_speed_series(maps)
         assert np.array_equal(out, [0.0])

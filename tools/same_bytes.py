@@ -38,6 +38,18 @@ frames[60] = frames[60].mean(axis=0) + 1e-3 * np.arange(10)[:, None]
 io.save_trajectory_csv(sys.argv[1], frames)
 """
 
+# 40 agents over 300 frames, matched 102 frame pairs at a time; frame 103
+# collapses as in MAKE_COLLAPSE, so steps 102 and 103 warn: the last step of
+# the first block and the first step of the second
+MAKE_BLOCK_EDGE = """
+import sys
+import numpy as np
+from swarmphase import io, sim
+frames = sim.simulate(sim.scenario_speed_switch(n_agents=40, n_steps=300, seed=3)).unwrapped.copy()
+frames[102] = frames[102].mean(axis=0) + 1e-3 * np.arange(40)[:, None]
+io.save_trajectory_csv(sys.argv[1], frames)
+"""
+
 # 3 agents at the origin for 30 frames: the derived interaction radius is 0
 MAKE_COINCIDENT = """
 import sys
@@ -140,6 +152,8 @@ ARGUMENT_SETS = {
     "isomap-wide": ["isomap", "--input", "{tracked}", "--threshold", "1e-12", "--dmax", "12"],
     "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
     "low-confidence": ["analyze", "--input", "{collapse}"],
+    # the warnings and the correspondence dump cross a block edge of the matching
+    "block-edge": ["analyze", "--input", "{block_edge}", "--dump-correspondence"],
     # matches N=1, then exits 1 at observables
     "one-agent": ["analyze", "--input", "{agent}"],
     # exits 1 at observables: epsilon is 0
@@ -189,6 +203,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-m", "swarmphase.cli", "simulate", "--scenario", "speed-switch", "--n-agents", "1",
          "--n-steps", "120", "--seed", "3", "--out", str(dest / "agent")],
         ["-c", MAKE_COLLAPSE, str(dest / "collapse.csv")],
+        ["-c", MAKE_BLOCK_EDGE, str(dest / "block_edge.csv")],
         ["-c", MAKE_COINCIDENT, str(dest / "coincident.csv")],
         ["-c", MAKE_STATIC, str(dest / "static.csv")],
         ["-c", MAKE_LATTICE, str(dest / "lattice.csv")],
@@ -205,6 +220,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "tracked": str(dest / "tracked" / "input.csv"),
         "wrapped": str(dest / "sim" / "trajectory.csv"),
         "collapse": str(dest / "collapse.csv"),
+        "block_edge": str(dest / "block_edge.csv"),
         "coincident": str(dest / "coincident.csv"),
         "static": str(dest / "static.csv"),
         "lattice": str(dest / "lattice.csv"),
