@@ -137,7 +137,7 @@ def component_series(positions: np.ndarray, radius: float) -> np.ndarray:
     distinct labels among its agents.
     """
     pos = np.asarray(positions, dtype=float)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     n_frames, n = pos.shape[:2]
     max_frames = max(_BLOCK_NODES // max(n, 1), 1)
@@ -181,7 +181,7 @@ def coarse_observable(
     weight_polarization: float = 1.0 / 3.0,
 ) -> np.ndarray:
     """Convex combination of speed, polarization, and component fraction."""
-    if weight_speed < 0 or weight_polarization < 0:
+    if not (weight_speed >= 0 and weight_polarization >= 0):
         raise ValueError("observable weights must be non-negative")
     if weight_speed + weight_polarization > 1.0:
         raise ValueError("observable weights must sum to at most 1")

@@ -64,6 +64,8 @@ def two_means_split(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-D array")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
         return np.zeros(v.size, dtype=int)
@@ -122,7 +124,7 @@ def label_manifolds(segmentation: PhaseSegmentation, tolerance: float = 0.1) -> 
     within ``tolerance``; otherwise it founds a new label. Labels are
     numbered from 1 in order of first appearance.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError("tolerance must be non-negative")
     representatives: list[float] = []
     labeled = []

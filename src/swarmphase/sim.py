@@ -43,18 +43,6 @@ MAX_COORDINATE = 1e140
 _BLOCK_CELLS = 1 << 16
 
 
-def rotation_matrices(angles: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 rotation matrices, one per entry of ``angles``."""
-    angles = np.asarray(angles, dtype=float)
-    c, s = np.cos(angles), np.sin(angles)
-    out = np.empty(angles.shape + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
-
-
 def wrap_positions(positions: np.ndarray, half_width: float, half_height: float) -> np.ndarray:
     """Map positions into ``[-L, L) x [-H, H)``."""
     lo = np.array([-half_width, -half_height])
@@ -72,9 +60,11 @@ class SimParams:
     index ``k`` drives the update from frame ``k+1`` to frame ``k+2`` in
     1-based frame counting); a scalar applies to every step. ``noise`` is the
     heading-noise amplitude: step ``k`` draws each agent's noise uniformly
-    from ``[-noise[k], noise[k]]``. ``rotations`` holds the angle by which
-    each agent's heading is turned at each step, shape
-    ``(n_steps - 1, n_agents)``; ``None`` means no turn for any agent.
+    from ``[-noise[k], noise[k]]``. ``rotations`` holds the angle ``a`` by
+    which each agent's heading ``h`` is turned at each step, shape
+    ``(n_steps - 1, n_agents)``: the turned unit heading is
+    ``(cos a cos h - sin a sin h, sin a cos h + cos a sin h)``. ``None``
+    means no turn for any agent.
     """
 
     n_agents: int
@@ -99,16 +89,23 @@ class SimParams:
         for key in ("half_width", "half_height"):
             if not math.isfinite(2.0 * getattr(self, key)):
                 raise ValueError(f"{key}: the box side 2 * {getattr(self, key)!r} is not finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.interaction_radius <= 0:
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.interaction_radius > 0:
             raise ValueError("interaction_radius must be positive")
+        if not 0 <= self.speed_jitter < math.inf:
+            raise ValueError("speed_jitter must be non-negative and finite")
         n_updates = self.n_steps - 1
         for key in ("speed_base", "noise"):
             value = np.asarray(getattr(self, key), dtype=float)
             setattr(self, key, np.broadcast_to(value, (n_updates,)).copy())
+        if not np.isfinite(self.speed_base).all():
+            raise ValueError("speed_base must be finite")
         if not (np.isfinite(self.noise) & (self.noise >= 0)).all():
             raise ValueError("noise amplitudes must be finite and non-negative")
+        # an amplitude of -0.0 passes the checks above, but numpy's uniform
+        # refuses the range [0.0, -0.0]; abs makes it 0.0
+        self.speed_jitter, self.noise = abs(self.speed_jitter), np.abs(self.noise)
         if self.rotations is not None:
             self.rotations = np.asarray(self.rotations, dtype=float)
             expected = (n_updates, self.n_agents)
@@ -198,16 +195,20 @@ def step(
     """Advance the group by one update step.
 
     Random draws happen in a fixed order (speed jitter first, heading noise
-    second) so runs are reproducible for a given generator state. When an
-    agent's averaged alignment vector vanishes, its previous heading is kept.
+    second) so runs are reproducible for a given generator state. Each unit
+    heading ``(cos h, sin h)`` is turned by the agent's angle ``a`` for this
+    step, written out as ``(c cos h - s sin h, s cos h + c sin h)`` with
+    ``c, s = cos a, sin a``. When an agent's averaged alignment vector
+    vanishes, its previous heading is kept.
     """
     n = params.n_agents
     rows, cols = _adjacency(wrapped, params.interaction_radius, params.half_width, params.half_height)
-    units = np.column_stack((np.cos(headings), np.sin(headings)))
+    cos_h, sin_h = np.cos(headings), np.sin(headings)
     if params.rotations is None:
-        deflected = units
+        deflected = np.column_stack((cos_h, sin_h))
     else:
-        deflected = np.einsum("nij,nj->ni", rotation_matrices(params.rotations[step_index]), units)
+        c, s = np.cos(params.rotations[step_index]), np.sin(params.rotations[step_index])
+        deflected = np.column_stack((c * cos_h - s * sin_h, s * cos_h + c * sin_h))
 
     # bincount sums each neighborhood in ascending index order from zero,
     # then the sums are divided: the same bits as deflected[neighbors].mean(axis=0)

@@ -210,6 +210,11 @@ class TestCoarseObservable:
         with pytest.raises(ValueError):
             observables.coarse_observable(np.array([1.0]), np.array([1.0]), np.array([1]), 5, -0.1, 0.5)
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)])
+    def test_nan_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="^observable weights must be non-negative$"):
+            observables.coarse_observable(np.array([1.0]), np.array([1.0]), np.array([1]), 5, *weights)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0, 1),
@@ -338,6 +343,12 @@ class TestComponentSeriesBlocks:
         monkeypatch.setattr(observables, "_block_counts", counting)
         assert observables.component_series(stack, 1.0).tolist() == [256] * 300
         assert calls == [observables._BLOCK_NODES, 44 * 256]
+
+    @pytest.mark.parametrize("n_frames", [1, 4])
+    def test_nan_radius_rejected(self, n_frames):
+        # NaN passes a ``radius <= 0`` check and then links no pair at all
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            observables.component_series(np.zeros((n_frames, 3, 2)), np.nan)
 
     def test_radius_and_empty_stack(self):
         assert observables.component_series(np.zeros((0, 5, 2)), 1.0).size == 0

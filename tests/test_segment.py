@@ -46,6 +46,14 @@ class TestSegmentSeries:
         with pytest.raises(ValueError, match="too short"):
             segment.segment_series(np.zeros(15), min_length=10)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 37, 59])
+    def test_non_finite_values_rejected(self, value, at):
+        series = np.concatenate([np.full(30, 0.2), np.full(30, 0.8)])
+        series[at] = value
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            segment.segment_series(series, min_length=10)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-5, 5))
     def test_translation_leaves_boundaries(self, shift):
@@ -90,6 +98,16 @@ class TestLabels:
         seg1 = segment.PhaseSegmentation(segments=[segment.Segment(1, 10, 0.5)])
         with pytest.raises(ValueError):
             segment.label_manifolds(seg1, tolerance=-0.5)
+
+
+    @pytest.mark.parametrize("means", [[0.0, 1.0, 0.0], [0.5]])
+    def test_nan_tolerance_rejected(self, means):
+        # NaN passes a ``tolerance < 0`` check and then merges no two segments
+        seg = segment.PhaseSegmentation(
+            segments=[segment.Segment(10 * i + 1, 10 * i + 10, m) for i, m in enumerate(means)]
+        )
+        with pytest.raises(ValueError, match="^tolerance must be non-negative$"):
+            segment.label_manifolds(seg, tolerance=np.nan)
 
 
 class TestPerSegmentIsomap:

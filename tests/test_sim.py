@@ -30,6 +30,17 @@ def minimum_image(deltas, half_width, half_height):
     return deltas - box * np.round(deltas / box)
 
 
+def matrix_turn(angles, units):
+    """Each unit vector times the 2x2 rotation matrix of its angle.
+
+    The product is summed column by column, because a numpy reduction starts
+    from +0.0 and would turn a -0.0 result into +0.0.
+    """
+    c, s = np.cos(angles), np.sin(angles)
+    turns = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
+    return turns[..., 0] * units[:, None, 0] + turns[..., 1] * units[:, None, 1]
+
+
 def neighbor_lists(positions, radius, L, H):
     """``sim._adjacency`` as one list of neighbor indices per agent."""
     rows, cols = sim._adjacency(np.asarray(positions, dtype=float), radius, L, H)
@@ -125,6 +136,20 @@ class TestStep:
         assert np.all(norms <= (p.speed_base[:, None] + p.speed_jitter) * p.dt + 1e-12)
         assert np.all(norms >= (p.speed_base[:, None] - p.speed_jitter) * p.dt - 1e-12)
 
+    def test_turn_matches_the_rotation_matrix_product_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        # every pairing of the angles 0.0, -0.0, +-pi/2 with the headings +-0.0
+        angles = np.concatenate((rng.uniform(-7, 7, 64), np.repeat([0.0, -0.0, math.pi / 2, -math.pi / 2], 2)))
+        headings = np.concatenate((rng.uniform(-7, 7, 64), np.tile([0.0, -0.0], 4)))
+        n = len(angles)
+        params = single_agent_params(n_agents=n, speed_base=1.0, dt=1.0, rotations=angles[None])
+        # speed * dt is exactly 1 and the track starts at -0.0, so the new
+        # unwrapped position is the turned unit heading, signed zeros included
+        _, turned, _ = sim.step(np.zeros((n, 2)), np.full((n, 2), -0.0), headings, params, 0, rng)
+        want = matrix_turn(angles, np.column_stack((np.cos(headings), np.sin(headings))))
+        assert np.signbit(want[want == 0.0]).any()
+        assert np.array_equal(turned.view(np.int64), want.view(np.int64))
+
     def test_zero_alignment_keeps_heading(self):
         # two agents heading exactly opposite: the mean direction cancels
         params = single_agent_params(n_agents=2)
@@ -186,33 +211,24 @@ class TestSchedules:
         assert np.allclose(spacing, 12.0 / 220)
 
     def test_split_halves_are_transposed_rotations(self):
+        # the turn by -a is the transpose of the turn by a
         p = sim.scenario_split_rejoin(n_agents=50, n_steps=220)
-        turns = sim.rotation_matrices(p.rotations)
-        assert np.allclose(turns[:, 0], np.transpose(turns[:, -1], (0, 2, 1)))
+        assert np.array_equal(p.rotations[:, 0], -p.rotations[:, -1])
 
     @pytest.mark.parametrize("n_agents, n_steps", [(2, 2), (10, 120), (50, 220), (60, 600)])
     def test_split_turns_are_the_two_halves_matrices(self, n_agents, n_steps):
-        # each half turns by one stack of matrices, broadcast over its agents
+        # each half turns by one angle per step, broadcast over its agents
         gamma = sim.split_rotation_angles(sim.split_reference_path(n_steps))
         half = n_agents // 2
-        want = np.empty((n_steps - 1, n_agents, 2, 2))
-        want[:, :half] = sim.rotation_matrices(gamma)[:, None]
-        want[:, half:] = sim.rotation_matrices(-gamma)[:, None]
         p = sim.scenario_split_rejoin(n_agents=n_agents, n_steps=n_steps)
         assert p.rotations.shape == (n_steps - 1, n_agents)
-        assert np.array_equal(sim.rotation_matrices(p.rotations), want)
+        assert (p.rotations[:, :half] == gamma[:, None]).all()
+        assert (p.rotations[:, half:] == -gamma[:, None]).all()
+        assert np.array_equal(p.rotations[:, half:], -p.rotations[:, :half])
 
     def test_flat_tangent_gives_zero_angle(self):
         path = np.column_stack((np.arange(5.0), np.ones(5)))
         assert np.allclose(sim.split_rotation_angles(path), 0.0)
-
-    def test_rotation_matrices_orthogonal(self):
-        p = sim.scenario_split_rejoin(n_agents=10, n_steps=120)
-        turns = sim.rotation_matrices(p.rotations)
-        rtr = np.einsum("...ji,...jk->...ik", turns, turns)
-        assert np.allclose(rtr, np.eye(2), atol=1e-12)
-        det = np.linalg.det(turns.reshape(-1, 2, 2))
-        assert np.allclose(det, 1.0, atol=1e-12)
 
     def test_literal_sigmoid_saturates(self):
         # the normalized argument 12 t / T rises to a plateau; the literal
@@ -295,6 +311,31 @@ class TestParamValidation:
             single_agent_params(**{key: 1e308})
         # the largest half size whose double is finite still builds
         assert getattr(single_agent_params(**{key: np.finfo(float).max / 2}), key) > 8e307
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dt", np.nan, "dt must be positive and finite"),
+            ("dt", np.inf, "dt must be positive and finite"),
+            ("speed_base", np.nan, "speed_base must be finite"),
+            ("speed_base", -np.inf, "speed_base must be finite"),
+            ("speed_jitter", np.nan, "speed_jitter must be non-negative and finite"),
+            ("speed_jitter", np.inf, "speed_jitter must be non-negative and finite"),
+            ("speed_jitter", -1.0, "speed_jitter must be non-negative and finite"),
+            ("interaction_radius", np.nan, "interaction_radius must be positive"),
+        ],
+    )
+    def test_non_finite_or_negative_settings_fail_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            single_agent_params(**{field: value})
+
+    @pytest.mark.parametrize("field", ["speed_jitter", "noise"])
+    def test_negative_zero_amplitude_is_zero(self, field):
+        # numpy's uniform refuses the range [0.0, -0.0]
+        p = sim.scenario_speed_switch(n_agents=6, n_steps=100, seed=4)
+        want = sim.simulate(replace(p, **{field: 0.0}))
+        got = sim.simulate(replace(p, **{field: -0.0}))
+        assert np.array_equal(got.unwrapped, want.unwrapped)
 
     @pytest.mark.parametrize("field,value", [("n_agents", 0), ("n_steps", 1), ("dt", 0.0)])
     def test_basic_bounds(self, field, value):
