@@ -1,19 +1,19 @@
 """Frame-to-frame agent correspondence reconstructed from positions alone.
 
 Agent identities are not assumed to be preserved between frames.
-Consecutive frame pairs are matched a block of frames at a time, each pair
-in three stages:
+All consecutive frame pairs are matched in one pass, each pair in three
+stages:
 
 1. every source agent proposes its nearest neighbor in the next frame
-   (every squared distance of a block of frames at once, ties broken toward
-   the lowest target index);
+   (squared distances in blocks of at most ``_BLOCK_CELLS``, ties broken
+   toward the lowest target index);
 2. proposals that do not collide are accepted outright; when several sources
    share a target, the source with the smallest displacement wins and the
    rest are left unmatched;
 3. the leftover sources are matched greedily (in source order) to leftover
    targets by picking the displacement closest to the mean velocity of the
-   already-matched agents; the r-th leftover source of every frame of a
-   block is placed in one pass.
+   already-matched agents; the r-th leftover source of every frame is
+   placed in one pass.
 
 The result is always a bijection, and every agent's velocity is the
 displacement to its matched target.
@@ -26,12 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .sim import check_coordinate_limit
 
-# _match matches runs of frame pairs holding about this many agents at once:
-# every pair's (N, 2) temporaries of a run are alive together, and on long
-# tracks small runs are faster (N=100, T=1500 on a 2-core Xeon: 154 ms
-# against 171 ms for one run of all frames)
-_BLOCK_AGENTS = 1 << 12
 
 # _nearest holds at most this many (source, target) squared distances at
 # once: 512 KB per float64 temporary
@@ -59,7 +55,6 @@ class CorrespondenceMap:
     permutation: np.ndarray
     bijective: np.ndarray
     velocities: np.ndarray
-    mean_velocity: np.ndarray
 
     @property
     def n_agents(self) -> int:
@@ -95,15 +90,16 @@ def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     wraps should be given unwrapped.
     """
     pair = _frame_pair(source, target)
-    return _nearest(pair[:1], pair[1:], np.empty((1, pair.shape[1]), dtype=np.intp))[0]
+    return _nearest(pair[:1], pair[1:])[0]
 
 
-def _nearest(source: np.ndarray, target: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """``nearest_neighbor_map`` of P frame pairs at once, ``(P, N, 2)`` in, into ``candidates (P, N)``.
+def _nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``nearest_neighbor_map`` of P frame pairs at once: ``(P, N, 2)`` in, candidates ``(P, N)`` out.
 
     ``np.argmin`` returns the first of equal minima, the lowest target index.
     """
     n_pairs, n = source.shape[:2]
+    candidates = np.empty((n_pairs, n), dtype=np.intp)
     # whole frames per block while N*N fits, else one frame in runs of rows
     frames = max(_BLOCK_CELLS // max(n * n, 1), 1)
     rows = max(_BLOCK_CELLS // max(n, 1), 1)
@@ -130,11 +126,13 @@ def extract_bijective_domain(candidates: np.ndarray, distances: np.ndarray) -> n
     candidates = np.asarray(candidates, dtype=int)
     distances = np.asarray(distances, dtype=float)
     n = candidates.shape[0]
+    # the output is allocated below the sort's temporaries, so that freeing
+    # them lets malloc return the top of its heap
+    mask = np.zeros(n, dtype=bool)
     order = np.lexsort((np.arange(n), distances, candidates))
     ranked = candidates[order]
     first_of_group = np.ones(n, dtype=bool)
     first_of_group[1:] = ranked[1:] != ranked[:-1]
-    mask = np.zeros(n, dtype=bool)
     mask[order[first_of_group]] = True
     return mask
 
@@ -181,46 +179,31 @@ def _residual_match(
 
 
 def _match(track: np.ndarray, first_step: int) -> CorrespondenceMap:
-    """Correspondence record of every consecutive frame pair of a ``(T, N, 2)`` track.
-
-    The record is allocated once; runs of frame pairs fill their slices of it in turn.
-    """
-    n_pairs, n = track.shape[0] - 1, track.shape[1]
+    """Correspondence record of every consecutive frame pair of a ``(T, N, 2)`` track."""
+    n = track.shape[1]
     if n == 0:
         raise ValueError("correspondence needs at least 1 agent per frame, found 0")
-    out = CorrespondenceMap(
-        step=np.arange(first_step, first_step + n_pairs),
-        permutation=np.empty((n_pairs, n), dtype=np.intp),
-        bijective=np.empty((n_pairs, n), dtype=bool),
-        velocities=np.empty((n_pairs, n, 2)),
-        mean_velocity=np.empty((n_pairs, 2)),
-    )
-    block = max(_BLOCK_AGENTS // n, 1)
-    sources, targets = track[:-1], track[1:]
-    for start in range(0, n_pairs, block):
-        chunk = slice(start, start + block)
-        part, source, target = out[chunk], sources[chunk], targets[chunk]
-        permutation, mask, velocities = part.permutation, part.bijective, part.velocities
-        pair = np.arange(len(source))[:, None]
-        _nearest(source, target, permutation)
-        cand_disp = np.subtract(target[pair, permutation], source, out=velocities)
-        # the frame is the outermost key, so each frame keeps its own closest claimants
-        mask[...] = extract_bijective_domain(
-            (permutation + n * pair).ravel(), np.linalg.norm(cand_disp, axis=2).ravel()
-        ).reshape(mask.shape)
+    source, target = track[:-1], track[1:]
+    pair = np.arange(len(source))[:, None]
+    permutation = _nearest(source, target)
+    velocities = target[pair, permutation]
+    velocities -= source
+    # the frame is the outermost key, so each frame keeps its own closest claimants
+    mask = extract_bijective_domain(
+        (permutation + n * pair).ravel(), np.linalg.norm(velocities, axis=2).ravel()
+    ).reshape(permutation.shape)
 
-        # every frame accepts at least one proposal; bincount sums each frame
-        # from zero in source order, the bits of velocities[mask].mean(axis=0)
-        accepted_frame = np.nonzero(mask)[0]
-        accepted = cand_disp[mask]
-        domain_sums = [np.bincount(accepted_frame, weights=accepted[:, a]) for a in (0, 1)]
-        mu1 = np.stack(domain_sums, axis=1) / np.bincount(accepted_frame)[:, None]
+    # every frame accepts at least one proposal; bincount sums each frame
+    # from zero in source order, the bits of velocities[mask].mean(axis=0)
+    accepted_frame = np.nonzero(mask)[0]
+    accepted = velocities[mask]
+    domain_sums = [np.bincount(accepted_frame, weights=accepted[:, a]) for a in (0, 1)]
+    mu1 = np.stack(domain_sums, axis=1) / np.bincount(accepted_frame)[:, None]
 
-        _residual_match(permutation, ~mask, source, target, mu1)
-        frames, rows = np.nonzero(~mask)
-        velocities[frames, rows] = target[frames, permutation[frames, rows]] - source[frames, rows]
-        velocities.mean(axis=1, out=part.mean_velocity)
-    return out
+    _residual_match(permutation, ~mask, source, target, mu1)
+    frames, rows = np.nonzero(~mask)
+    velocities[frames, rows] = target[frames, permutation[frames, rows]] - source[frames, rows]
+    return CorrespondenceMap(np.arange(first_step, first_step + len(source)), permutation, mask, velocities)
 
 
 def correspond(source: np.ndarray, target: np.ndarray, step: int = 1) -> CorrespondenceMap:
@@ -233,13 +216,16 @@ def velocities(dataset) -> CorrespondenceMap:
 
     Emits a ``LowConfidenceMatchWarning`` for steps where fewer than half the
     agents matched without conflicts. Distances are plain on either track: a
-    wrapped track is matched as it stands, wrap jumps included.
+    wrapped track is matched as it stands, wrap jumps included. A track with
+    a coordinate above ``sim.MAX_COORDINATE`` in magnitude, past which
+    squared distances overflow, is rejected before any matching.
     """
     track = dataset.analysis_track()
     if track.shape[0] < 2:
         raise ValueError("need at least 2 frames")
     if not np.isfinite(track).all():
         raise ValueError("track positions must be finite")
+    check_coordinate_limit(track)
     maps = _match(track, 1)
     n = maps.n_agents
     matched = maps.bijective.sum(axis=1)

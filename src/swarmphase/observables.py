@@ -50,11 +50,12 @@ class ObservableSeries:
 def group_speed_series(maps) -> np.ndarray:
     """Norm of the group mean velocity per step, normalized by its maximum.
 
-    The normalization needs the whole series (two passes). An all-zero
-    series is returned as all zeros (with a warning) instead of 0/0.
+    An all-zero series is returned as all zeros (with a warning), not 0/0.
     """
-    # one 1-D norm per step: a norm along axis 1 can differ in the last bit
-    norms = np.array([float(np.linalg.norm(v)) for v in maps.mean_velocity])
+    # a 1-D np.linalg.norm is sqrt(x.dot(x)), and vecdot runs the same dot
+    # kernel; a norm along axis 1 can differ in the last bit
+    mean = maps.velocities.mean(axis=1)
+    norms = np.sqrt(np.vecdot(mean, mean))
     if norms.size == 0:
         raise ValueError("need at least one correspondence step")
     peak = norms.max()
@@ -65,26 +66,30 @@ def group_speed_series(maps) -> np.ndarray:
 
 
 def polarization(velocities: np.ndarray) -> float:
-    """Normalized magnitude of the summed unit velocity directions.
-
-    Agents with exactly zero velocity have no direction and are excluded;
-    the normalization uses the count of included agents. Returns 0 (with a
-    warning) when every velocity is zero.
-    """
+    """``polarization_series`` of one step's ``(N, 2)`` velocities."""
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError("velocities must have shape (N, 2)")
-    norms = np.linalg.norm(v, axis=1)
+    return float(polarization_series(v[None])[0])
+
+
+def polarization_series(velocities: np.ndarray) -> np.ndarray:
+    """Normalized magnitude of the summed unit velocity directions, per step of ``(T, N, 2)`` velocities.
+
+    Agents with exactly zero velocity have no direction and are excluded;
+    the normalization uses the count of included agents. A step where every
+    velocity is zero gets 0, and the series warns once.
+    """
+    norms = np.linalg.norm(velocities, axis=2)
     keep = norms > 0.0
-    if not keep.any():
+    included = keep.sum(axis=1)
+    if not included.all():
         warnings.warn("all velocities are zero; polarization undefined", DegenerateSeriesWarning, stacklevel=2)
-        return 0.0
-    units = v[keep] / norms[keep, None]
-    return min(float(np.linalg.norm(units.sum(axis=0)) / keep.sum()), 1.0)
-
-
-def polarization_series(maps) -> np.ndarray:
-    return np.array([polarization(v) for v in maps.velocities])
+    # an excluded agent adds exact zeros, so each step sums its unit vectors in agent order
+    units = np.divide(velocities, norms[..., None], out=np.zeros_like(velocities), where=keep[..., None])
+    summed = units.sum(axis=1)
+    # a 1-D norm's bits, as in group_speed_series; a step at rest divides 0 by 1
+    return np.minimum(np.sqrt(np.vecdot(summed, summed)) / np.maximum(included, 1), 1.0)
 
 
 def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float:
@@ -180,14 +185,19 @@ def coarse_observable(
     weight_speed: float = 1.0 / 3.0,
     weight_polarization: float = 1.0 / 3.0,
 ) -> np.ndarray:
-    """Convex combination of speed, polarization, and component fraction."""
+    """Convex combination of speed, polarization, and component fraction; bad input fails by name."""
     if not (weight_speed >= 0 and weight_polarization >= 0):
         raise ValueError("observable weights must be non-negative")
     if weight_speed + weight_polarization > 1.0:
         raise ValueError("observable weights must sum to at most 1")
+    if not n_agents >= 1:
+        raise ValueError(f"n_agents: must be at least 1, found {n_agents!r}")
     speed = np.asarray(speed, dtype=float)
     pol = np.asarray(polarization, dtype=float)
     comp = np.asarray(components, dtype=float)
+    for name, values in (("speed", speed), ("polarization", pol), ("components", comp)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name}: must be finite")
     structure = 1.0 - weight_speed - weight_polarization
     x = weight_speed * speed + weight_polarization * pol + structure * comp / n_agents
     return np.clip(x, 0.0, 1.0)
@@ -222,7 +232,7 @@ def compute_observables(
         )
     components = component_series(track[:-1], epsilon)
     speed = group_speed_series(maps)
-    pol = polarization_series(maps)
+    pol = polarization_series(maps.velocities)
     coarse = coarse_observable(
         speed, pol, components, dataset.n_agents, weight_speed, weight_polarization
     )

@@ -263,13 +263,16 @@ def simulate(params: SimParams) -> TrajectoryDataset:
             )
 
     for track in (unwrapped, wrapped):
-        beyond = np.argwhere(np.abs(track) > MAX_COORDINATE)
-        if len(beyond):
-            frame, agent, axis = beyond[0]
-            raise ValueError(
-                f"frame {frame + 1}: coordinate {float(track[frame, agent, axis])!r} exceeds 1e140 in magnitude"
-            )
+        check_coordinate_limit(track)
     return TrajectoryDataset(wrapped=wrapped, unwrapped=unwrapped)
+
+
+def check_coordinate_limit(track: np.ndarray) -> None:
+    """Reject a ``(T, N, 2)`` track holding a coordinate above ``MAX_COORDINATE`` in magnitude, by frame."""
+    beyond = np.argwhere(np.abs(track) > MAX_COORDINATE)
+    if len(beyond):
+        value = float(track[tuple(beyond[0])])
+        raise ValueError(f"frame {beyond[0, 0] + 1}: coordinate {value!r} exceeds 1e140 in magnitude")
 
 
 # ---------------------------------------------------------------------------

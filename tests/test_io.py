@@ -205,7 +205,6 @@ class TestOtherWriters:
             permutation=np.array([[1, 0]]),
             bijective=np.array([[True, False]]),
             velocities=np.array([[[0.1, 0.0], [0.0, -0.2]]]),
-            mean_velocity=np.array([[0.05, -0.1]]),
         )
         path = tmp_path / "c.csv"
         io_.save_correspondence_csv(path, maps)
@@ -333,7 +332,6 @@ class TestFrameAtATimeWriters:
             permutation=(np.arange(n) - t) % n,
             bijective=np.arange(n) % 2 == t % 2,
             velocities=velocities,
-            mean_velocity=np.zeros((steps, 2)),
         )
         path = tmp_path_factory.mktemp("csv") / "c.csv"
         io_.save_correspondence_csv(path, maps)

@@ -119,7 +119,6 @@ class TestCorrespond:
         m = mapping.correspond(a, a)
         assert np.array_equal(m.permutation, np.arange(8))
         assert np.allclose(m.velocities, 0.0)
-        assert np.allclose(m.mean_velocity, 0.0)
 
     def test_hand_executed_two_agent_chain(self):
         a = np.array([[0.0, 0.0], [0.5, 0.0]])
@@ -129,7 +128,7 @@ class TestCorrespond:
         assert list(m.bijective) == [True, False]
         assert np.allclose(m.velocities, [[0.2, 0.0], [0.4, 0.0]])
         assert np.allclose(m.velocities[m.bijective].mean(axis=0), [0.2, 0.0])
-        assert np.allclose(m.mean_velocity, [0.3, 0.0])
+        assert np.allclose(m.velocities.mean(axis=0), [0.3, 0.0])
 
     def test_rigid_translation(self):
         a = np.array([[i * 0.7, (i % 4) * 0.6] for i in range(12)], dtype=float)
@@ -230,7 +229,7 @@ class TestVelocities:
             va = sorted(map(tuple, ma.velocities.tolist()))
             vb = sorted(map(tuple, mb.velocities.tolist()))
             assert va == vb
-            assert np.allclose(ma.mean_velocity, mb.mean_velocity, atol=1e-14)
+            assert np.allclose(ma.velocities.mean(axis=0), mb.velocities.mean(axis=0), atol=1e-14)
 
     def test_shuffled_frames_give_same_coarse_series(self):
         rng = np.random.default_rng(9)
@@ -371,7 +370,7 @@ def looped_velocities(track):
             velocities[i] = target[j] - source[i]
         if mask.sum() < n / 2:
             messages.append(f"step {t + 1}: only {mask.sum()} of {n} agents matched without conflicts")
-        maps.append((permutation, mask, velocities, velocities.mean(axis=0)))
+        maps.append((permutation, mask, velocities))
     return maps, messages
 
 
@@ -394,18 +393,24 @@ def tracks(draw):
 @given(tracks())
 def test_velocities_match_the_per_pair_loop(track):
     ds = sim.TrajectoryDataset(wrapped=track)
+    beyond = (np.abs(track) > sim.MAX_COORDINATE).any()
     with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("always")
-        maps = mapping.velocities(ds)
+        if beyond:
+            # velocities rejects the track before it warns; the matching itself still takes it
+            with pytest.raises(ValueError, match="exceeds 1e140"):
+                mapping.velocities(ds)
+            maps = mapping._match(track, 1)
+        else:
+            maps = mapping.velocities(ds)
         expected, messages = looped_velocities(track)
-    assert [str(w.message) for w in caught if w.category is mapping.LowConfidenceMatchWarning] == messages
+    low_confidence = [str(w.message) for w in caught if w.category is mapping.LowConfidenceMatchWarning]
+    assert low_confidence == ([] if beyond else messages)
     assert [m.step for m in maps] == list(range(1, track.shape[0]))
-    for m, (permutation, mask, vel, mean) in zip(maps, expected, strict=True):
+    for m, (permutation, mask, vel) in zip(maps, expected, strict=True):
         assert np.array_equal(m.permutation, permutation)
         assert np.array_equal(m.bijective, mask)
         assert np.array_equal(m.velocities, vel)
-        assert np.array_equal(m.mean_velocity, mean)
-        assert np.array_equal(np.signbit(m.mean_velocity), np.signbit(mean))
 
 
 @st.composite
@@ -427,9 +432,8 @@ def test_velocities_match_the_per_pair_loop_above_16_agents(track):
 
 
 def test_velocities_match_the_per_pair_loop_across_frame_blocks():
-    # 150 agents are matched 27 frame pairs at a time: 89 pairs span 4 blocks
+    # 89 frame pairs of 150 agents
     n_frames, n = 90, 150
-    assert n_frames - 1 > 3 * (mapping._BLOCK_AGENTS // n)
     rng = np.random.default_rng(17)
     steps = rng.normal(scale=0.05, size=(n_frames, n, 2))
     track = rng.uniform(-2.0, 2.0, size=(1, n, 2)) + np.cumsum(steps, axis=0)
@@ -441,11 +445,9 @@ class TestStackedRecord:
 
     @pytest.fixture(scope="class")
     def track(self):
-        # 40 agents are matched 102 frame pairs at a time: 299 pairs span 3
-        # blocks; frame 103 collapses, so steps 102 and 103 warn, one on each
-        # side of the first block edge
+        # 299 frame pairs of 40 agents; frame 103 collapses, so steps 102 and
+        # 103 warn, in that order
         n_frames, n = 300, 40
-        assert mapping._BLOCK_AGENTS // n == 102
         rng = np.random.default_rng(23)
         steps = rng.normal(scale=0.1, size=(n_frames, n, 2))
         track = rng.uniform(-2.0, 2.0, size=(1, n, 2)) + np.cumsum(steps, axis=0)
@@ -466,7 +468,6 @@ class TestStackedRecord:
         assert np.array_equal(maps.step, np.arange(1, t))
         assert maps.permutation.shape == maps.bijective.shape == (t - 1, n)
         assert maps.velocities.shape == (t - 1, n, 2)
-        assert maps.mean_velocity.shape == (t - 1, 2)
 
     def test_an_int_index_is_that_steps_correspond(self, track, maps):
         with warnings.catch_warnings():
@@ -474,7 +475,7 @@ class TestStackedRecord:
             for s in range(len(maps)):
                 one, want = maps[s], mapping.correspond(track[s], track[s + 1], s + 1)
                 assert one.step == want.step == s + 1
-                for name in ("permutation", "bijective", "velocities", "mean_velocity"):
+                for name in ("permutation", "bijective", "velocities"):
                     got, expected = getattr(one, name), getattr(want, name)
                     assert got.shape == expected.shape and got.dtype == expected.dtype
                     assert got.tobytes() == expected.tobytes()
@@ -482,7 +483,7 @@ class TestStackedRecord:
     def test_a_slice_is_a_record_of_views(self, maps):
         part = maps[101:104]
         assert np.array_equal(part.step, [102, 103, 104])
-        for name in ("permutation", "bijective", "velocities", "mean_velocity"):
+        for name in ("permutation", "bijective", "velocities"):
             whole, view = getattr(maps, name), getattr(part, name)
             assert view.shape == (3,) + whole.shape[1:]
             assert np.shares_memory(view, whole)
@@ -576,3 +577,33 @@ class TestNoAgents:
     def test_correspond_rejects_empty_frames_by_agent_count(self):
         with pytest.raises(ValueError, match="at least 1 agent per frame, found 0"):
             mapping.correspond(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_velocities_reject_coordinates_past_the_limit_before_matching():
+    # squared distances of +-1e200 overflow: matched, every step would keep 1 of 12 agents
+    track = np.random.default_rng(0).uniform(-1e200, 1e200, size=(6, 12, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^frame 1: coordinate .* exceeds 1e140 in magnitude$"):
+            mapping.velocities(sim.TrajectoryDataset(wrapped=track))
+
+
+@pytest.mark.parametrize(
+    "scenario, settings, errors, steps_with_errors, agent_steps",
+    [
+        ("speed-switch", {"seed": 0}, 0, 0, 7450),
+        ("noise-switch", {"seed": 0}, 0, 0, 7450),
+        ("split-rejoin", {"seed": 0}, 0, 0, 10950),
+        ("speed-switch", {"n_agents": 150, "n_steps": 150, "seed": 201}, 0, 0, 22350),
+        # frames 20x coarser than the default: the halves pass through each other
+        ("split-rejoin", {"n_agents": 60, "n_steps": 600, "dt": 1.0, "seed": 201}, 2882, 563, 35940),
+    ],
+)
+def test_identity_errors_against_the_simulated_truth(scenario, settings, errors, steps_with_errors, agent_steps):
+    # a simulated track keeps each agent in its slot, so the true map is the identity
+    ds = sim.simulate(sim.make_scenario(scenario, **settings))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", mapping.LowConfidenceMatchWarning)
+        maps = mapping.velocities(ds)
+    wrong = maps.permutation != np.arange(maps.n_agents)
+    assert (int(wrong.sum()), int(wrong.any(axis=1).sum()), wrong.size) == (errors, steps_with_errors, agent_steps)

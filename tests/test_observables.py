@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist
 
-from swarmphase import observables
+from swarmphase import mapping, observables, sim
 from swarmphase.mapping import CorrespondenceMap
 
 
@@ -23,7 +24,6 @@ def fake_map(velocities):
         permutation=np.broadcast_to(np.arange(n), (steps, n)),
         bijective=np.ones((steps, n), dtype=bool),
         velocities=v,
-        mean_velocity=v.mean(axis=1),
     )
 
 
@@ -41,6 +41,68 @@ class TestGroupSpeed:
         with pytest.warns(observables.DegenerateSeriesWarning):
             out = observables.group_speed_series(maps)
         assert np.array_equal(out, [0.0])
+
+
+def looped_speed(velocities):
+    """Per-step oracle of ``group_speed_series``: one 1-D norm of each step's mean velocity."""
+    norms = np.array([float(np.linalg.norm(v)) for v in velocities.mean(axis=1)])
+    return norms / norms.max() if norms.max() > 0.0 else norms
+
+
+def looped_polarization(velocities):
+    """Per-step oracle of ``polarization_series``: the unit vectors of the moving agents only."""
+    out = []
+    for v in velocities:
+        norms = np.linalg.norm(v, axis=1)
+        keep = norms > 0.0
+        units = v[keep] / norms[keep, None]
+        out.append(min(float(np.linalg.norm(units.sum(axis=0)) / keep.sum()), 1.0) if keep.any() else 0.0)
+    return np.array(out)
+
+
+class TestSeriesMatchThePerStepLoop:
+    """Speed and polarization series, bit for bit the per-step loops they replace."""
+
+    def assert_same_bits(self, velocities):
+        maps = fake_map(velocities)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", observables.DegenerateSeriesWarning)
+            speed = observables.group_speed_series(maps)
+            pol = observables.polarization_series(maps.velocities)
+        assert speed.tobytes() == looped_speed(maps.velocities).tobytes()
+        assert pol.tobytes() == looped_polarization(maps.velocities).tobytes()
+
+    @pytest.mark.parametrize(
+        "scenario, settings",
+        [
+            ("speed-switch", {"seed": 0}),
+            ("noise-switch", {"seed": 0}),
+            ("split-rejoin", {"seed": 0}),
+            ("speed-switch", {"n_agents": 150, "n_steps": 150, "seed": 201}),
+            ("split-rejoin", {"n_agents": 60, "n_steps": 600, "dt": 1.0, "seed": 201}),
+        ],
+    )
+    def test_simulated_tracks(self, scenario, settings):
+        ds = sim.simulate(sim.make_scenario(scenario, **settings))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", mapping.LowConfidenceMatchWarning)
+            self.assert_same_bits(mapping.velocities(ds).velocities)
+
+    def test_random_velocities_with_zero_rows(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            steps, n = rng.integers(1, 20), rng.integers(1, 40)
+            v = rng.normal(size=(steps, n, 2)) * 10.0 ** rng.integers(-5, 5)
+            v[rng.random((steps, n)) < rng.random()] = 0.0
+            self.assert_same_bits(v)
+
+    def test_a_zero_step_gets_zero_and_the_series_warns_once(self):
+        v = np.zeros((3, 4, 2))
+        v[1] = [1.0, 0.0]
+        with pytest.warns(observables.DegenerateSeriesWarning) as caught:
+            pol = observables.polarization_series(v)
+        assert pol.tolist() == [0.0, 1.0, 0.0]
+        assert [str(w.message) for w in caught] == ["all velocities are zero; polarization undefined"]
 
 
 class TestPolarization:
@@ -209,6 +271,19 @@ class TestCoarseObservable:
             observables.coarse_observable(np.array([1.0]), np.array([1.0]), np.array([1]), 5, 0.7, 0.4)
         with pytest.raises(ValueError):
             observables.coarse_observable(np.array([1.0]), np.array([1.0]), np.array([1]), 5, -0.1, 0.5)
+
+    @pytest.mark.parametrize("n_agents", [0, -3])
+    def test_fewer_than_one_agent_rejected_by_name(self, n_agents):
+        with pytest.raises(ValueError, match=f"^n_agents: must be at least 1, found {n_agents}$"):
+            observables.coarse_observable(np.array([1.0]), np.array([1.0]), np.array([1]), n_agents)
+
+    @pytest.mark.parametrize("name", ["speed", "polarization", "components"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected_by_name(self, name, value):
+        series = {"speed": np.array([0.5, 1.0]), "polarization": np.array([0.5, 1.0]), "components": np.array([1, 2.0])}
+        series[name][1] = value
+        with pytest.raises(ValueError, match=f"^{name}: must be finite$"):
+            observables.coarse_observable(series["speed"], series["polarization"], series["components"], 5)
 
     @pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)])
     def test_nan_weight_rejected(self, weights):

@@ -38,9 +38,8 @@ frames[60] = frames[60].mean(axis=0) + 1e-3 * np.arange(10)[:, None]
 io.save_trajectory_csv(sys.argv[1], frames)
 """
 
-# 40 agents over 300 frames, matched 102 frame pairs at a time; frame 103
-# collapses as in MAKE_COLLAPSE, so steps 102 and 103 warn: the last step of
-# the first block and the first step of the second
+# 40 agents over 300 frames; frame 103 collapses as in MAKE_COLLAPSE, so
+# steps 102 and 103 warn, and the correspondence dump carries both
 MAKE_BLOCK_EDGE = """
 import sys
 import numpy as np
@@ -67,6 +66,22 @@ import numpy as np
 from swarmphase import io
 agents = np.column_stack([np.arange(8.0), np.arange(8.0) % 3])
 io.save_trajectory_csv(sys.argv[1], np.broadcast_to(agents, (40, 8, 2)))
+"""
+
+# 10 agents over 60 frames: 5 never move, and 5 move in fixed directions
+# except over steps 26-35, so speed and P see steps with some agents at rest
+# and steps with all of them at rest
+MAKE_HALF_STATIC = """
+import sys
+import numpy as np
+from swarmphase import io
+angles = 0.3 * np.arange(5)
+steps = 0.05 * np.column_stack((np.cos(angles), np.sin(angles)))
+moving = (np.arange(60) - np.clip(np.arange(60) - 25, 0, 10))[:, None, None] * steps
+agents = np.column_stack((np.arange(10.0) % 5, 3.0 * (np.arange(10) >= 5)))
+frames = np.broadcast_to(agents, (60, 10, 2)).copy()
+frames[:, 5:] += moving
+io.save_trajectory_csv(sys.argv[1], frames)
 """
 
 # a 6 x 5 integer grid shifted half a spacing along x each frame, for 40
@@ -152,13 +167,14 @@ ARGUMENT_SETS = {
     "isomap-wide": ["isomap", "--input", "{tracked}", "--threshold", "1e-12", "--dmax", "12"],
     "analyze-dump": ["analyze", "--input", "{wrapped}", "--dump-correspondence"],
     "low-confidence": ["analyze", "--input", "{collapse}"],
-    # the warnings and the correspondence dump cross a block edge of the matching
+    # two adjacent low-confidence steps, warned in order and dumped
     "block-edge": ["analyze", "--input", "{block_edge}", "--dump-correspondence"],
     # matches N=1, then exits 1 at observables
     "one-agent": ["analyze", "--input", "{agent}"],
     # exits 1 at observables: epsilon is 0
     "coincident": ["analyze", "--input", "{coincident}", "--min-len", "2"],
     "static": ["analyze", "--input", "{static}", "--min-len", "5"],
+    "half-static": ["analyze", "--input", "{half_static}", "--min-len", "5"],
     "lattice": [
         "analyze", "--input", "{lattice}", "--epsilon-mode", "nearest_neighbor", "--min-len", "5", "--dump-correspondence",
     ],
@@ -206,6 +222,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-c", MAKE_BLOCK_EDGE, str(dest / "block_edge.csv")],
         ["-c", MAKE_COINCIDENT, str(dest / "coincident.csv")],
         ["-c", MAKE_STATIC, str(dest / "static.csv")],
+        ["-c", MAKE_HALF_STATIC, str(dest / "half_static.csv")],
         ["-c", MAKE_LATTICE, str(dest / "lattice.csv")],
         ["-c", MAKE_HEADER_CRLF, str(dest / "header_crlf.csv")],
         ["-c", MAKE_WHITESPACE_LINES, str(dest / "whitespace.csv")],
@@ -223,6 +240,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "block_edge": str(dest / "block_edge.csv"),
         "coincident": str(dest / "coincident.csv"),
         "static": str(dest / "static.csv"),
+        "half_static": str(dest / "half_static.csv"),
         "lattice": str(dest / "lattice.csv"),
         "header_crlf": str(dest / "header_crlf.csv"),
         "whitespace": str(dest / "whitespace.csv"),
