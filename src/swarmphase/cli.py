@@ -75,6 +75,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
+        # every warning is printed, not only the first of each text and line;
+        # appended, so a filter set by -W or the caller still comes first
+        warnings.simplefilter("always", append=True)
         try:
             config = _config_from_args(args)
             if args.command == "simulate":

@@ -18,6 +18,9 @@ from .sim import MAX_COORDINATE, TrajectoryDataset
 
 TRAJECTORY_HEADER_NAMES = {"t", "id", "x", "y"}
 
+# rows of the distance image scaled at a time by save_distance_pgm
+_PGM_ROWS = 64
+
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
@@ -229,13 +232,18 @@ def save_distance_pgm(path, delta: np.ndarray) -> None:
     if mat.ndim != 2:
         raise ValueError("distance matrix must be 2-D")
     peak = mat.max()
-    # scaled, rounded and clipped in the one buffer mat / peak makes
-    scaled = mat / peak if peak > 0 else np.zeros_like(mat)
-    scaled *= 255.0
-    np.rint(scaled, out=scaled)
-    pixels = scaled.clip(0, 255, out=scaled).astype(np.uint8)
-    header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    pixels = np.zeros(mat.shape, dtype=np.uint8)
+    if peak > 0:
+        # scaled, rounded and clipped a band of rows at a time, in the band
+        # mat / peak makes; the uint8 image is the only full-size array
+        for lo in range(0, mat.shape[0], _PGM_ROWS):
+            band = mat[lo : lo + _PGM_ROWS] / peak
+            band *= 255.0
+            np.rint(band, out=band)
+            pixels[lo : lo + _PGM_ROWS] = band.clip(0, 255, out=band)
+    with open(path, "wb") as out:
+        out.write(f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii"))
+        out.write(pixels)
 
 
 def parse_config_text(text: str) -> dict[str, str]:

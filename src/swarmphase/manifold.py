@@ -26,9 +26,9 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
 
-# _mds_spectrum symmetrises the Gram matrix this many rows at a time:
-# ``gram += gram.T`` would copy the whole matrix to resolve the overlap
-_SYMMETRISE_ROWS = 64
+# rows per band where an n x n matrix is ranked or symmetrised: whole, the
+# argsort or ``np.minimum(out, out.T)`` would build a second n x n array
+_BAND_ROWS = 64
 
 
 class ManifoldWarning(UserWarning):
@@ -73,6 +73,34 @@ def configuration_matrix(positions: np.ndarray) -> np.ndarray:
     return pos.reshape(pos.shape[0], -1)
 
 
+def _nearest_ranks(distances: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` columns of the stable ``argsort`` of each row, past column 0.
+
+    Each band of rows is sorted whole and cut, so no n x n index array is built.
+    """
+    n = distances.shape[0]
+    ranked = np.empty((n, width), dtype=np.intp)
+    for lo in range(0, n, _BAND_ROWS):
+        order = np.argsort(distances[lo : lo + _BAND_ROWS], axis=1, kind="stable")
+        ranked[lo : lo + _BAND_ROWS] = order[:, 1 : width + 1]
+    return ranked
+
+
+def _symmetrise(mat: np.ndarray, combine: np.ufunc) -> None:
+    """Set both triangles of the square ``mat`` to ``combine(mat, mat.T)`` in place.
+
+    ``combine`` must be symmetric in its arguments. A band of rows at a time:
+    each band reads only rows and columns at or past its own first row, which
+    earlier bands never write.
+    """
+    n = mat.shape[0]
+    for lo in range(0, n, _BAND_ROWS):
+        hi = min(lo + _BAND_ROWS, n)
+        band = combine(mat[lo:hi, lo:], mat[lo:, lo:hi].T)
+        mat[lo:hi, lo:] = band
+        mat[lo:, lo:hi] = band.T
+
+
 def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     """Symmetrized k-nearest-neighbor graph, grown until connected.
 
@@ -93,9 +121,9 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     # self sorts first at -1; after it come the other points in rank order,
     # ties in index order (the diagonal is never read as a weight)
     np.fill_diagonal(distances, -1.0)
-    ranked = np.argsort(distances, axis=1, kind="stable")[:, 1:]
 
     k_eff = min(k, n - 1)
+    ranked = _nearest_ranks(distances, k_eff)
     while True:
         # row i lists its k_eff nearest; undirected components link i and j
         # when either row lists the other
@@ -106,6 +134,8 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
         if connected_components(listed, directed=False)[0] == 1:
             break
         k_eff += 1
+        if k_eff > ranked.shape[1]:
+            ranked = _nearest_ranks(distances, min(2 * ranked.shape[1], n - 1))
 
     # sorted_indices: the sum need not list a row's neighbours in index order
     edges = (listed + listed.T).sorted_indices()
@@ -130,19 +160,22 @@ def geodesic_distances(graph: NeighborGraph) -> np.ndarray:
         raise ValueError("graph is disconnected; geodesic distances undefined")
     # Forward and reverse path sums can differ in the last bit; keep the
     # smaller, which symmetrizes the matrix exactly.
-    return np.minimum(out, out.T)
+    _symmetrise(out, np.minimum)
+    return out
 
 
-def _mds_spectrum(distances: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+def _mds_spectrum(gram: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``top`` largest eigenpairs of the double-centred Gram matrix, in
     descending order. Each eigenvector's largest-magnitude entry, the first
     of equals, is positive. An eigenvalue at or below ``lambda_max * n * eps``
     (the ``numpy.linalg.matrix_rank`` rule), rounding noise or negative, is
     returned as 0; ``classical_mds`` and ``isomap`` share this rule.
+
+    ``gram`` holds the squared distances, C-contiguous float64, on entry; the
+    Gram matrix is built and solved in that buffer, which is left overwritten.
     """
-    # squared into a new buffer, then centred in place step by step, in the
-    # rounding order of -0.5 * (d2 - row - col + mean)
-    gram = np.asarray(distances, dtype=float) ** 2
+    # centred in place step by step, in the rounding order of
+    # -0.5 * (d2 - row - col + mean)
     row = gram.mean(axis=1, keepdims=True)
     col = gram.mean(axis=0, keepdims=True)
     mean = gram.mean()
@@ -150,16 +183,12 @@ def _mds_spectrum(distances: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarr
     gram -= col
     gram += mean
     gram *= -0.5
+    # then 0.5 * (g + g.T), in two steps so that each band makes one temporary
+    _symmetrise(gram, np.add)
+    gram *= 0.5
     n = gram.shape[0]
     # eigh reads only the lower triangle of gram.T (lower=True), the Fortran
-    # order that LAPACK overwrites without a copy of its own. That triangle
-    # is gram's upper one, set to 0.5 * (g + g.T) a band of rows at a time;
-    # later bands read only rows and columns past the band.
-    for lo in range(0, n, _SYMMETRISE_ROWS):
-        hi = min(lo + _SYMMETRISE_ROWS, n)
-        band = gram[lo:hi, lo:] + gram[lo:, lo:hi].T
-        band *= 0.5
-        gram[lo:hi, lo:] = band
+    # order that LAPACK overwrites without a copy of its own
     evals, evecs = eigh(gram.T, subset_by_index=(n - top, n - 1), overwrite_a=True)
     # eigh returns ascending eigenvalues; reversed views give descending order
     evals, evecs = evals[::-1], evecs[:, ::-1]
@@ -187,7 +216,7 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError("distance matrix must have a zero diagonal")
     if not (1 <= dim <= n - 1):
         raise ValueError(f"embedding dimension must be in [1, {n - 1}], got {dim}")
-    evals, evecs = _mds_spectrum(dmat, dim)
+    evals, evecs = _mds_spectrum(dmat**2, dim)
     n_positive = int(np.count_nonzero(evals))
     if n_positive < dim:
         warnings.warn(
@@ -259,14 +288,20 @@ def isomap(points: np.ndarray, k: int = 7, d_max: int = 10, threshold: float = 0
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
 
+    n = pts.shape[0]
     graph = knn_graph(pts, k)
     geo = geodesic_distances(graph)
-    cap = min(d_max, pts.shape[0] - 1)
+    cap = min(d_max, n - 1)
 
-    evals, evecs = _mds_spectrum(geo, cap)
+    # the upper triangle in row order is the condensed form; squareform would
+    # first copy geo whole, because it is a view of shortest_path's output
+    condensed = geo[np.arange(n)[:, None] < np.arange(n)]
+    # squared in place and handed over: the spectrum is solved in geo's
+    # buffer, which is then freed before the residual curve
+    evals, evecs = _mds_spectrum(np.square(geo, out=geo), cap)
+    del geo
     full = evecs * np.sqrt(evals)
     embeddings = [full[:, :d] for d in range(1, cap + 1)]
-    condensed = squareform(geo, checks=False)
     residuals = np.array([residual_variance(condensed, emb) for emb in embeddings])
     return EmbeddingReport(
         embeddings=embeddings,

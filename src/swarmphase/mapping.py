@@ -155,12 +155,15 @@ def _residual_match(
     if not counts.any():
         return
     width = counts.max()
+    # a leftover proposed a target that an accepted source holds, so the
+    # targets proposed at all are the taken ones
     taken = np.zeros(leftover.shape, dtype=bool)
-    taken[np.nonzero(~leftover)[0], permutation[~leftover]] = True
+    taken[np.arange(len(leftover))[:, None], permutation] = True
     # a stable sort lists each frame's leftover sources, and its equally many
-    # free targets, first and in index order; the padding columns are closed
-    sources = np.argsort(~leftover, axis=1, kind="stable")[:, :width]
-    free = np.argsort(taken, axis=1, kind="stable")[:, :width]
+    # free targets, first and in index order; the padding columns are closed.
+    # The cut columns are copied, so the whole sorts are freed
+    sources = np.argsort(~leftover, axis=1, kind="stable")[:, :width].copy()
+    free = np.argsort(taken, axis=1, kind="stable")[:, :width].copy()
     closed = np.arange(width) >= counts[:, None]
     for r in range(width):
         frames = np.flatnonzero(counts > r)

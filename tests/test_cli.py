@@ -448,10 +448,23 @@ class TestWarningsOnStderr:
         ]
         shown = warnings.showwarning
         assert cli.main(argv) == 0
+        # one line per Isomap: the whole run's and each segment's
+        isomaps = len(list((tmp_path / "out").glob("residual_*.csv")))
         assert capsys.readouterr().err.splitlines() == [
             "swarmphase: warning: ManifoldWarning: no dimension reaches residual 1e-12; reporting the maximum tried"
-        ]
+        ] * isomaps
         assert warnings.showwarning is shown
+
+    def test_every_repeated_warning_is_printed(self, tmp_path, capsys):
+        # no Isomap reaches the threshold, so the whole-run one and each
+        # segment's raise the same text from the same line: one line each
+        out = tmp_path / "out"
+        assert cli.main([*small_run_args(out), "--threshold", "1e-12"]) == 0
+        isomaps = len(list(out.glob("residual_*.csv")))
+        assert isomaps == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "swarmphase: warning: ManifoldWarning: no dimension reaches residual 1e-12; reporting the maximum tried"
+        ] * isomaps
 
     def test_low_confidence_warning_is_printed_by_name(self, tmp_path, capsys):
         frames = sim.simulate(sim.scenario_speed_switch(n_agents=10, n_steps=105, seed=3)).unwrapped.copy()

@@ -136,12 +136,14 @@ class TestDistancePgm:
         "delta",
         [
             observables.distance_matrix(np.random.default_rng(3).random(40)),
+            # 150 rows: bands of 64, 64 and 22 rows
+            observables.distance_matrix(np.random.default_rng(6).random(150)),
             np.random.default_rng(4).random((7, 5)),
             np.zeros((6, 6)),
             np.zeros((1, 1)),
             np.array([[0.25]]),
         ],
-        ids=["random-series", "random-rectangle", "all-zero", "1x1-zero", "1x1"],
+        ids=["random-series", "random-series-3-bands", "random-rectangle", "all-zero", "1x1-zero", "1x1"],
     )
     def test_pixels_match_the_full_buffer_scaling(self, tmp_path, delta):
         kept = delta.copy()
@@ -152,8 +154,9 @@ class TestDistancePgm:
         assert np.array_equal(delta, kept)
 
     def test_peak_memory_stays_near_one_matrix(self, tmp_path):
-        # one scaled buffer, scaled, rounded and clipped in place; the chained
-        # expression peaked at 3.0 matrices
+        # a band of rows scaled, rounded and clipped at a time into the uint8
+        # image (0.34 matrices: the image and two bands); one full scaled
+        # buffer peaked at 1.38 matrices, the chained expression at 3.0
         n = 599
         delta = observables.distance_matrix(np.random.default_rng(5).random(n))
         tracemalloc.start()
@@ -162,7 +165,7 @@ class TestDistancePgm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * n * n * 8
+        assert peak <= 0.5 * n * n * 8
 
 
 class TestOtherWriters:

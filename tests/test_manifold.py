@@ -410,6 +410,16 @@ def test_knn_graph_grows_k_until_the_clusters_connect():
     assert graph.k == 8
 
 
+def test_knn_graph_grows_k_past_twice_the_request_across_bands():
+    # two clusters of 70 points far apart and k=5: the ranks are cut at 5, 10,
+    # 20, 40 and 80 columns before the graph connects at k=70, and every cut
+    # spans bands of 64 rows
+    rng = np.random.default_rng(12)
+    pts = np.vstack([rng.uniform(size=(70, 3)) + 100.0 * c for c in range(2)])
+    graph = assert_matches_dense_knn_graph(pts[rng.permutation(len(pts))], 5)
+    assert graph.k == 70
+
+
 def double_centred_gram(distances):
     """Reference Gram matrix of classical MDS: -1/2 J D^2 J, symmetrized."""
     d2 = np.asarray(distances, dtype=float) ** 2
@@ -459,7 +469,7 @@ def spectrum_requests(draw):
 @given(spectrum_requests())
 def test_mds_spectrum_returns_the_top_eigenpairs(request):
     distances, top = request
-    evals, evecs = manifold._mds_spectrum(distances, top)
+    evals, evecs = manifold._mds_spectrum(distances**2, top)
     gram = double_centred_gram(distances)
     every = np.linalg.eigvalsh(gram)
     tol = 1e-9 * max(1.0, np.abs(every).max())
@@ -488,7 +498,7 @@ def full_buffer_mds_spectrum(distances, top):
 
 def assert_same_bits_as_full_buffer_spectrum(distances, top):
     kept = distances.copy()
-    evals, evecs = manifold._mds_spectrum(distances, top)
+    evals, evecs = manifold._mds_spectrum(distances**2, top)
     want_evals, want_evecs = full_buffer_mds_spectrum(distances, top)
     assert np.array_equal(evals, want_evals)
     assert np.array_equal(evecs, want_evecs)
@@ -521,14 +531,32 @@ def test_classical_mds_leaves_its_input_unchanged():
 
 
 def test_mds_spectrum_peak_memory_stays_near_one_matrix():
-    # the Gram matrix is built and solved in the squared buffer; the full-size
-    # temporaries it used to go through peaked at 3.09 matrices
+    # the Gram matrix is built and solved in the caller's squared buffer, so
+    # nothing of n x n floats is allocated (0.25 matrices: eigh's finiteness
+    # mask, bands and eigenvectors); squaring into a buffer of its own peaked
+    # at 1.25 matrices, the full-size temporaries before that at 3.09
     n = 599
-    distances = squareform(pdist(np.random.default_rng(6).normal(size=(n, 5))))
+    squared = squareform(pdist(np.random.default_rng(6).normal(size=(n, 5)))) ** 2
     tracemalloc.start()
     try:
-        manifold._mds_spectrum(distances, 10)
+        manifold._mds_spectrum(squared, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * n * n * 8
+    assert peak <= 0.4 * n * n * 8
+
+
+def test_isomap_peak_memory_stays_below_two_matrices():
+    # the geodesics are condensed without a copy, squared in place and solved
+    # in their own buffer, then dropped before the residual curve (1.84
+    # matrices); a second geodesic matrix for the minimum, the square kept
+    # alive through the residuals and a full argsort peaked at 2.61
+    n = 599
+    pts = np.cumsum(np.random.default_rng(0).normal(size=(n, 60)), axis=0)
+    tracemalloc.start()
+    try:
+        manifold.isomap(pts, 7, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * n * n * 8

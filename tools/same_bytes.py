@@ -131,6 +131,20 @@ from swarmphase import io
 io.save_trajectory_csv(sys.argv[1], np.random.default_rng(0).uniform(-1e160, 1e160, size=(30, 12, 2)))
 """
 
+# 10 agents over 90 frames in three groups of 30, each frame jittered about
+# its group's layout, the groups half a unit apart along x: the
+# configurations form three clusters, so the Isomap's k grows from 7 to 30,
+# past twice the requested k
+MAKE_CLUSTERS = """
+import sys
+import numpy as np
+from swarmphase import io
+rng = np.random.default_rng(0)
+layout = rng.uniform(0.0, 10.0, size=(10, 2))
+groups = np.repeat(np.arange(3), 30)[:, None, None] * np.array([0.5, 0.0])
+io.save_trajectory_csv(sys.argv[1], layout + groups + 0.02 * rng.normal(size=(90, 10, 2)))
+"""
+
 SPEED = ["run", "--scenario", "speed-switch"]
 NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
@@ -143,6 +157,8 @@ ARGUMENT_SETS = {
     "tracked-csv": ["analyze", "--input", "{tracked}"],
     # k=1 leaves the Isomap graphs disconnected, so knn_graph must grow k
     "k-growth": ["analyze", "--input", "{tracked}", "--k", "1"],
+    # k grows from 7 to 30, so knn_graph ranks the neighbours again at 14, 28 and 56 columns
+    "k-growth-wide": ["isomap", "--input", "{clusters}"],
     # 1-9 point segments: 3-point Isomaps with degenerate spectra, SegmentationWarnings
     "tiny-segments": ["analyze", "--input", "{tracked}", "--min-len", "1"],
     "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
@@ -227,6 +243,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-c", MAKE_HEADER_CRLF, str(dest / "header_crlf.csv")],
         ["-c", MAKE_WHITESPACE_LINES, str(dest / "whitespace.csv")],
         ["-c", MAKE_HUGE, str(dest / "huge.csv")],
+        ["-c", MAKE_CLUSTERS, str(dest / "clusters.csv")],
     ]
     for args in steps:
         done = python(src, args, dest)
@@ -245,6 +262,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "header_crlf": str(dest / "header_crlf.csv"),
         "whitespace": str(dest / "whitespace.csv"),
         "huge": str(dest / "huge.csv"),
+        "clusters": str(dest / "clusters.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
