@@ -50,11 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace):
-    file_values = load_config_file(args.config) if args.config else None
+    try:
+        file_values = load_config_file(args.config) if args.config else None
+    except OSError as exc:
+        raise ConfigError(f"config: {exc}") from None
     overrides = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("command", "config") and value is not None
+        if key not in ("command", "config")
     }
     return config_from_sources(file_values, overrides)
 

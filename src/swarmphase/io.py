@@ -14,12 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifold import _BAND_ROWS
 from .sim import MAX_COORDINATE, TrajectoryDataset
 
 TRAJECTORY_HEADER_NAMES = {"t", "id", "x", "y"}
-
-# rows of the distance image scaled at a time by save_distance_pgm
-_PGM_ROWS = 64
 
 
 def format_float(x: float) -> str:
@@ -236,11 +234,11 @@ def save_distance_pgm(path, delta: np.ndarray) -> None:
     if peak > 0:
         # scaled, rounded and clipped a band of rows at a time, in the band
         # mat / peak makes; the uint8 image is the only full-size array
-        for lo in range(0, mat.shape[0], _PGM_ROWS):
-            band = mat[lo : lo + _PGM_ROWS] / peak
+        for lo in range(0, mat.shape[0], _BAND_ROWS):
+            band = mat[lo : lo + _BAND_ROWS] / peak
             band *= 255.0
             np.rint(band, out=band)
-            pixels[lo : lo + _PGM_ROWS] = band.clip(0, 255, out=band)
+            pixels[lo : lo + _BAND_ROWS] = band.clip(0, 255, out=band)
     with open(path, "wb") as out:
         out.write(f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii"))
         out.write(pixels)

@@ -26,8 +26,9 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
 
-# rows per band where an n x n matrix is ranked or symmetrised: whole, the
-# argsort or ``np.minimum(out, out.T)`` would build a second n x n array
+# rows per band where an n x n matrix is ranked, symmetrised or scaled into
+# the distance image: whole, the argsort, ``np.minimum(out, out.T)`` or
+# ``mat / peak`` would build a second n x n array
 _BAND_ROWS = 64
 
 
@@ -246,7 +247,7 @@ def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
     gg, ee = g @ g, e @ e
     if gg == 0.0 or ee == 0.0:
         warnings.warn(
-            "distance vector has zero variance; residual variance defined as 0",
+            f"d={coords.shape[1]}: distance vector has zero variance; residual variance defined as 0",
             ManifoldWarning,
             stacklevel=2,
         )

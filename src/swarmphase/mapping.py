@@ -5,8 +5,8 @@ All consecutive frame pairs are matched in one pass, each pair in three
 stages:
 
 1. every source agent proposes its nearest neighbor in the next frame
-   (squared distances in blocks of at most ``_BLOCK_CELLS``, ties broken
-   toward the lowest target index);
+   (squared distances in blocks of at most the simulator's ``_BLOCK_CELLS``,
+   ties broken toward the lowest target index);
 2. proposals that do not collide are accepted outright; when several sources
    share a target, the source with the smallest displacement wins and the
    rest are left unmatched;
@@ -26,12 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .sim import check_coordinate_limit
-
-
-# _nearest holds at most this many (source, target) squared distances at
-# once: 512 KB per float64 temporary
-_BLOCK_CELLS = 1 << 16
+from .sim import _BLOCK_CELLS, check_coordinate_limit
 
 
 class LowConfidenceMatchWarning(UserWarning):
@@ -129,7 +124,8 @@ def extract_bijective_domain(candidates: np.ndarray, distances: np.ndarray) -> n
     # the output is allocated below the sort's temporaries, so that freeing
     # them lets malloc return the top of its heap
     mask = np.zeros(n, dtype=bool)
-    order = np.lexsort((np.arange(n), distances, candidates))
+    # lexsort is stable, so equal (target, distance) keys keep source order
+    order = np.lexsort((distances, candidates))
     ranked = candidates[order]
     first_of_group = np.ones(n, dtype=bool)
     first_of_group[1:] = ranked[1:] != ranked[:-1]

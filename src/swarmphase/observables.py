@@ -108,12 +108,10 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
         raise ValueError("interaction radius needs at least 2 agents")
     if mode == "all_pairs":
         total = 0.0
-        count = 0
         for frame in pos:
-            d = pdist(frame)
-            total += d.sum()
-            count += d.size
-        return total / count
+            total += pdist(frame).sum()
+        n = pos.shape[1]
+        return total / (pos.shape[0] * (n * (n - 1) // 2))
     if mode == "nearest_neighbor":
         total = 0.0
         for frame in pos:

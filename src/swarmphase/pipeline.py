@@ -109,7 +109,7 @@ class PipelineConfig:
 
     def reject_unread(self, command: str) -> None:
         """Reject a non-default setting the command never reads; call it after the command's own checks."""
-        self._reject_non_default(_UNREAD.get(command, ()), f"the {command} command does not read this setting")
+        self._reject_non_default(_UNREAD[command], f"the {command} command does not read this setting")
 
     def _reject_non_default(self, keys: tuple[str, ...], reason: str) -> None:
         """Reject the first of ``keys``, in ``SETTINGS`` order, whose value differs from its field's default."""
@@ -257,6 +257,8 @@ class _Run:
         config.validate()
         self.config = config
         self.out_dir = config.resolved_out_dir()
+        if self.out_dir.exists() and not self.out_dir.is_dir():
+            raise ConfigError(f"out: {str(self.out_dir)!r} exists and is not a directory")
         self.artifacts: dict[str, Path] = {}
 
     def load(self):
@@ -291,7 +293,6 @@ class _Run:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage and write the artifact set to the output directory."""
     run = _Run(config)
-    config.reject_unread("run")
     dataset = run.load()
 
     maps = _stage("mapping", velocities, dataset)

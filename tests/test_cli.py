@@ -226,6 +226,24 @@ class TestCliCommands:
         assert capsys.readouterr().err == "swarmphase: error: config line 3: duplicate key 'n_agents'\n"
         assert not (tmp_path / "out").exists()
 
+    def test_missing_config_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"swarmphase: error: config: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_output_path_that_is_a_file_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--scenario", "speed-switch", "--n-agents", "4", "--n-steps", "100", "--out", "afile"]
+        monkeypatch.setattr(pipeline, "simulate", lambda params: pytest.fail("simulated before the check"))
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "swarmphase: error: out: 'afile' exists and is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == ""
+
 
 # Today's 19 config keys, in declaration order; a renamed key fails here.
 CONFIG_KEYS = [
@@ -295,6 +313,34 @@ class TestConfigSchema:
             config.validate()
         config = pipeline.PipelineConfig(scenario="split-rejoin", **{key: value})
         config.validate()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_rows():
+    """First cell -> second cell of each table row in README's CLI reference."""
+    section = README.read_text().split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    cells = (line.strip("|").split("|") for line in section.splitlines() if line.startswith("| "))
+    return {row[0].strip(): row[1].strip() for row in cells}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestReadmeCliReference:
+    def test_every_setting_has_a_flag_row(self):
+        listed = set(re.findall(r"`(--[a-z0-9-]+)`", " ".join(readme_cli_rows())))
+        assert {flag(key) for key in pipeline.SETTINGS} <= listed
+
+    @pytest.mark.parametrize("command,needs_input", [("simulate", False), ("isomap", True)])
+    def test_reads_row_matches_the_unread_table(self, command, needs_input):
+        skipped = {"scenario", "input", "out", *pipeline._UNREAD[command]}
+        if needs_input:
+            skipped |= {"seed", *pipeline._SCENARIO_OVERRIDES}
+        expected = [flag(key) for key in pipeline.SETTINGS if key not in skipped]
+        assert re.findall(r"`(--[a-z0-9-]+)`", readme_cli_rows()[f"`{command}`"]) == expected
 
 
 class TestFailedRunLeavesNoOutput:

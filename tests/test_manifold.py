@@ -241,6 +241,10 @@ class TestResidualVariance:
         with pytest.warns(manifold.ManifoldWarning):
             assert manifold.residual_variance(d, np.zeros((3, 1))) == 0.0
 
+    def test_zero_variance_warning_names_the_dimension(self):
+        with pytest.warns(manifold.ManifoldWarning, match=r"^d=2: distance vector has zero variance"):
+            manifold.residual_variance(np.zeros((3, 3)), np.zeros((3, 2)))
+
 
 class TestEstimateDimension:
     def test_threshold_rule(self):

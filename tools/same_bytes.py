@@ -154,6 +154,8 @@ SPLIT = ["run", "--scenario", "split-rejoin"]
 ARGUMENT_SETS = {
     "crowd": [*SPEED, "--n-agents", "150", "--n-steps", "150", "--seed", "201"],
     "long": [*SPEED, "--n-agents", "30", "--n-steps", "600", "--seed", "201"],
+    # above 256 agents the simulator's and the matching's blocks hold runs of rows, not whole frames
+    "many-agents": [*SPEED, "--n-agents", "300", "--n-steps", "100", "--seed", "201"],
     "tracked-csv": ["analyze", "--input", "{tracked}"],
     # k=1 leaves the Isomap graphs disconnected, so knn_graph must grow k
     "k-growth": ["analyze", "--input", "{tracked}", "--k", "1"],
