@@ -5,6 +5,9 @@ polarization of the reconstructed velocities, and the normalized number of
 connected components of the interaction graph. Their convex combination
 ``X(t)`` lives in [0, 1], and the absolute difference ``|X(t1) - X(t2)|``
 is a pseudometric on time steps that separates phases of group behavior.
+
+A frame's component count is N minus its minimum-spanning-tree edges within
+the interaction radius, so the pairs within the radius are never listed.
 """
 
 from __future__ import annotations
@@ -13,23 +16,13 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
+from .sim import _BLOCK_CELLS, check_coordinate_limit
+
 # the estimators interaction_epsilon accepts
 EPSILON_MODES = ("all_pairs", "nearest_neighbor")
-
-# component_series hands csgraph one block-diagonal graph per run of frames
-# holding about this many pairs: one call per frame costs more in set-up than
-# the graph search itself, while one graph over all frames holds every
-# frame's pairs at once and raised crowd's peak RSS by 55%
-_BLOCK_PAIRS = 1 << 14
-
-# a block also holds at most this many nodes, so that its node ids fit in
-# uint16, which numpy's stable argsort orders by radix sort
-_BLOCK_NODES = 1 << 16
 
 
 class DegenerateSeriesWarning(UserWarning):
@@ -131,48 +124,53 @@ def connected_component_count(positions: np.ndarray, radius: float) -> int:
 
 
 def component_series(positions: np.ndarray, radius: float) -> np.ndarray:
-    """Component count per frame of a ``(T, N, 2)`` stack.
+    """Component count per frame of a ``(T, N, 2)`` stack: N minus the
+    frame's minimum-spanning-tree edges no longer than ``radius``.
 
-    Each frame's pairs come from an inclusive ``query_pairs(radius)``.
-    Consecutive frames are stacked into one block-diagonal graph until it
-    holds ``_BLOCK_PAIRS`` pairs or ``_BLOCK_NODES`` nodes, and csgraph labels
-    each block's components in one call; a frame's count is the number of
-    distinct labels among its agents.
+    Those edges span each component of the inclusive distance-``radius``
+    graph, whichever way ties are broken. Prim's algorithm runs in lockstep
+    over a block of ``_BLOCK_CELLS // N`` frames: at each step every frame
+    adds its nearest agent outside its tree. An edge is within reach when
+    ``dx*dx + dy*dy <= radius*radius``, as in a k-d tree's range search.
     """
     pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 3 or pos.shape[2] != 2:
+        raise ValueError("positions must have shape (T, N, 2)")
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
+    # below the limit no squared distance overflows
+    check_coordinate_limit(pos)
     n_frames, n = pos.shape[:2]
-    max_frames = max(_BLOCK_NODES // max(n, 1), 1)
-    counts = np.empty(n_frames, dtype=int)
-    start, block, held = 0, [], 0
-    for t, frame in enumerate(pos):
-        pairs = cKDTree(frame).query_pairs(radius, output_type="ndarray")
-        # each frame's agents get their own node range in the block
-        block.append(pairs + (t - start) * n)
-        held += len(pairs)
-        if held >= _BLOCK_PAIRS or len(block) == max_frames or t == n_frames - 1:
-            counts[start : t + 1] = _block_counts(np.concatenate(block), len(block), n)
-            start, block, held = t + 1, [], 0
+    counts = np.full(n_frames, n)
+    per_block = max(_BLOCK_CELLS // max(n, 1), 1)
+    for start in range(0, n_frames, per_block):
+        block = pos[start : start + per_block]
+        frames = np.arange(len(block))
+        # each frame's tree starts at agent 0; rows of x, y and nearest are
+        # the agents outside it, columns the frames, and nearest holds each
+        # agent's squared distance to the tree
+        px, py = block[:, 0, 0], block[:, 0, 1]
+        x, y = block[:, 1:, 0].T.copy(), block[:, 1:, 1].T.copy()
+        nearest = np.full(x.shape, np.inf)
+        # squares go to buffers made once: a temporary per step raised
+        # tracked-csv's peak RSS by 0.4 MB
+        dx, dy = np.empty_like(x), np.empty_like(y)
+        for m in range(n - 1, 0, -1):
+            d, e = np.subtract(x, px, out=dx[:m]), np.subtract(y, py, out=dy[:m])
+            d *= d
+            e *= e
+            d += e
+            np.minimum(nearest, d, out=nearest)
+            j = nearest.argmin(axis=0)
+            counts[start : start + len(block)] -= nearest[j, frames] <= radius * radius
+            px, py = x[j, frames], y[j, frames]
+            # the added agent's row takes the last row, which is then dropped
+            for a in (x, y, nearest):
+                a[j, frames] = a[m - 1]
+            x, y, nearest = x[: m - 1], y[: m - 1], nearest[: m - 1]
     return counts
-
-
-def _block_counts(pairs: np.ndarray, n_frames: int, n: int) -> np.ndarray:
-    """Component count per frame of ``n_frames`` frames of ``n`` nodes linked by ``pairs``.
-
-    The graph goes to csgraph as a CSR matrix whose rows are grouped by a
-    stable sort of the first node of each pair, so csgraph need not sort it.
-    """
-    m = n_frames * n
-    rows = pairs[:, 0].astype(np.min_scalar_type(m - 1))
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    graph = csr_matrix((np.ones(len(pairs)), pairs[order, 1].astype(np.int32), indptr), shape=(m, m))
-    n_labels, labels = connected_components(graph, directed=False)
-    frame_of_label = np.empty(n_labels, dtype=np.intp)
-    frame_of_label[labels] = np.arange(m) // n
-    return np.bincount(frame_of_label, minlength=n_frames)
 
 
 def coarse_observable(

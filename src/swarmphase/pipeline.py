@@ -257,8 +257,9 @@ class _Run:
         config.validate()
         self.config = config
         self.out_dir = config.resolved_out_dir()
-        if self.out_dir.exists() and not self.out_dir.is_dir():
-            raise ConfigError(f"out: {str(self.out_dir)!r} exists and is not a directory")
+        existing = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out: {str(existing)!r} exists and is not a directory")
         self.artifacts: dict[str, Path] = {}
 
     def load(self):

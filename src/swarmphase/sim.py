@@ -38,8 +38,8 @@ ZERO_ALIGNMENT_TOL = 1e-12
 # Isomap's Gram matrix finite (see io.load_trajectory_csv)
 MAX_COORDINATE = 1e140
 
-# _adjacency, and mapping._nearest, hold at most this many (agent, agent)
-# cells at once: 512 KB per float64 temporary
+# _adjacency, mapping._nearest and observables.component_series hold at
+# most this many cells at once: 512 KB per float64 temporary
 _BLOCK_CELLS = 1 << 16
 
 

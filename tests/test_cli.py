@@ -244,6 +244,15 @@ class TestCliCommands:
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == ""
 
+    @pytest.mark.parametrize("out", ["afile/sub", "afile/sub/deeper"])
+    def test_output_path_below_a_file_fails_before_loading(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "afile").write_text("")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pipeline.io_, "load_trajectory_csv", lambda path: pytest.fail("loaded before the check"))
+        assert cli.main(["analyze", "--input", "x.csv", "--out", out]) == 1
+        assert capsys.readouterr().err == "swarmphase: error: out: 'afile' exists and is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
 
 # Today's 19 config keys, in declaration order; a renamed key fails here.
 CONFIG_KEYS = [

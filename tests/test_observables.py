@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from collections import deque
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from swarmphase import mapping, observables, sim
@@ -380,44 +382,18 @@ class TestComponentSeriesBlocks:
         pairs = [self.pair_count(frame, radius) for frame in stack]
         got = observables.component_series(stack, radius)
         assert list(got) == [bfs_count(frame, radius) for frame in stack]
-        # the cases hold what their names say
         if n_frames > 1 and n > 1:
             assert 0 in pairs
-        if n == 200:
-            assert max(pairs) > observables._BLOCK_PAIRS
-        if n_frames == 60:
-            # the first block closes with less than this, so frames remain for a second
-            assert sum(pairs) > observables._BLOCK_PAIRS + max(pairs)
 
-    def test_one_graph_search_per_block(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        stack = rng.uniform(-3, 3, size=(600, 30, 2))
-        radius = 3.0
-        expected = observables.component_series(stack, radius)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return connected_components(*args, **kwargs)
-
-        monkeypatch.setattr(observables, "connected_components", counting)
-        assert np.array_equal(observables.component_series(stack, radius), expected)
-        total = sum(self.pair_count(frame, radius) for frame in stack)
-        assert total > 4 * observables._BLOCK_PAIRS
-        assert 1 < len(calls) <= math.ceil(total / observables._BLOCK_PAIRS) + 1
-
-    def test_node_cap_closes_a_block_at_exactly_65536_nodes(self, monkeypatch):
-        # 300 frames of 256 agents far apart: no pairs, so only the node cap closes blocks
-        stack = np.broadcast_to(10.0 * np.arange(512.0).reshape(256, 2), (300, 256, 2))
-        calls, block_counts = [], observables._block_counts
-
-        def counting(pairs, n_frames, n):
-            calls.append(n_frames * n)
-            return block_counts(pairs, n_frames, n)
-
-        monkeypatch.setattr(observables, "_block_counts", counting)
-        assert observables.component_series(stack, 1.0).tolist() == [256] * 300
-        assert calls == [observables._BLOCK_NODES, 44 * 256]
+    @pytest.mark.parametrize("cells", [1, 30, 100])
+    def test_any_block_budget_gives_the_same_counts(self, monkeypatch, cells):
+        # blocks of 1, 3 and 11 frames of 9 agents; the last block is short
+        # for 3 and 11
+        stack = self.mixed_stack(np.random.default_rng(cells), 23, 9)
+        expected = observables.component_series(stack, 1.0)
+        monkeypatch.setattr(observables, "_BLOCK_CELLS", cells)
+        assert np.array_equal(observables.component_series(stack, 1.0), expected)
+        assert expected.tolist() == [bfs_count(frame, 1.0) for frame in stack]
 
     @pytest.mark.parametrize("n_frames", [1, 4])
     def test_nan_radius_rejected(self, n_frames):
@@ -432,51 +408,126 @@ class TestComponentSeriesBlocks:
         with pytest.raises(ValueError, match="radius"):
             observables.connected_component_count(np.zeros((3, 2)), -1.0)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "positions must be finite"),
+            (np.inf, "positions must be finite"),
+            (-np.inf, "positions must be finite"),
+            (1e300, "frame 2: coordinate 1e+300 exceeds 1e140 in magnitude"),
+            (-1e141, "frame 2: coordinate -1e+141 exceeds 1e140 in magnitude"),
+        ],
+    )
+    def test_bad_positions_fail_by_name(self, value, message):
+        stack = np.zeros((3, 4, 2))
+        stack[1, 2, 1] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            observables.component_series(stack, 1.0)
 
-def coo_block_counts(pairs, n_frames, n):
-    """The ``coo_matrix`` path ``_block_counts`` replaced: csgraph sorts the graph itself."""
-    m = n_frames * n
-    graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(m, m))
-    n_labels, labels = connected_components(graph, directed=False)
-    frame_of_label = np.empty(n_labels, dtype=np.intp)
-    frame_of_label[labels] = np.arange(m) // n
-    return np.bincount(frame_of_label, minlength=n_frames)
-
-
-@st.composite
-def block_graphs(draw):
-    """(pairs, n_frames, n): random pairs i < j within each frame, in random order; some frames get none."""
-    n_frames, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
-    pairs = []
-    for t in range(n_frames):
-        if n > 1 and draw(st.booleans()):
-            ij = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
-            pairs.extend((t * n + min(i, j), t * n + max(i, j)) for i, j in ij if i != j)
-    order = draw(st.permutations(range(len(pairs))))
-    return np.array([pairs[k] for k in order], dtype=np.intp).reshape(-1, 2), n_frames, n
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 3), (2, 3, 4, 2), (3, 4, 1)])
+    def test_other_shapes_fail_by_name(self, shape):
+        with pytest.raises(ValueError, match=r"^positions must have shape \(T, N, 2\)$"):
+            observables.component_series(np.zeros(shape), 1.0)
 
 
-class TestBlockCounts:
+def kd_tree_counts(stack, radius):
+    """Oracle: csgraph's components of each frame's inclusive ``query_pairs(radius)`` graph."""
+    counts = []
+    for frame in stack:
+        pairs = cKDTree(frame).query_pairs(radius, output_type="ndarray")
+        graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(len(frame), len(frame)))
+        counts.append(connected_components(graph, directed=False)[0])
+    return counts
+
+
+def assert_matches_kd_tree(stack, radius):
+    counts = observables.component_series(stack, radius)
+    assert counts.tolist() == kd_tree_counts(stack, radius)
+    return counts
+
+
+class TestKdTreeOracle:
+    """Component counts equal those of the k-d tree and csgraph path they replaced."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("radius", [1.0, math.sqrt(2.0)])
+    def test_integer_grids(self, radius, offset):
+        # side and diagonal neighbours sit at the radius, exactly (offset 0)
+        # or up to rounding; agents are shuffled, and in half of the frames
+        # every third agent moves off the grid
+        rng = np.random.default_rng(int(10 * offset))
+        xs, ys = np.meshgrid(np.arange(7.0), np.arange(6.0))
+        grid = np.column_stack((xs.ravel(), ys.ravel())) + offset
+        stack = np.array([grid[rng.permutation(len(grid))] for _ in range(20)])
+        stack[10:, ::3] += 0.5
+        counts = assert_matches_kd_tree(stack, radius)
+        assert counts[0] == 1
+
+    def test_pairs_a_few_ulps_around_the_radius(self):
+        # two agents at distance ~radius along a random direction, the second
+        # moved 0-3 ulps either way in x: the squared test decides, and a
+        # test on the distance itself would decide some frames otherwise
+        rng = np.random.default_rng(17)
+        radius, frames = 1.1, []
+        for _ in range(500):
+            angle = rng.uniform(0, 2 * math.pi)
+            p = rng.uniform(-50, 50, size=2)
+            q = p + radius * np.array([math.cos(angle), math.sin(angle)])
+            for ulps in range(-3, 4):
+                x = q[0]
+                for _ in range(abs(ulps)):
+                    x = np.nextafter(x, math.copysign(np.inf, ulps))
+                frames.append([p, [x, q[1]]])
+        stack = np.array(frames)
+        counts = assert_matches_kd_tree(stack, radius)
+        assert set(counts.tolist()) == {1, 2}
+        distance = np.linalg.norm(stack[:, 1] - stack[:, 0], axis=1)
+        assert np.any((counts == 1) != (distance <= radius))
+
+    def test_duplicate_agents(self):
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, 4, size=(30, 12, 2)).astype(float)
+        stack = np.concatenate([base, np.zeros((2, 12, 2)), np.ones((1, 12, 2)) * [3.0, -2.0]])
+        counts = assert_matches_kd_tree(stack, 1e-9)
+        assert counts[-3:].tolist() == [1, 1, 1]
+
+    def test_one_and_two_agents(self):
+        assert_matches_kd_tree(np.zeros((4, 1, 2)), 1.0)
+        two = np.array([[[0.0, 0.0], [d, 0.0]] for d in (0.0, 0.5, 1.0, 1.5)])
+        assert assert_matches_kd_tree(two, 1.0).tolist() == [1, 1, 1, 2]
+
+    @pytest.mark.parametrize("radius", [1e124, 2e125, 3e140])
+    def test_coordinates_near_the_limit(self, radius):
+        limit = sim.MAX_COORDINATE
+        frame = np.array(
+            [[limit, -limit], [limit, -limit + 1e125], [-limit, limit], [-limit + 1e125, limit], [0.0, 0.0]]
+        )
+        stack = np.array([frame, -frame, frame[::-1]])
+        counts = assert_matches_kd_tree(stack, radius)
+        assert counts.tolist() == {1e124: [5] * 3, 2e125: [3] * 3, 3e140: [1] * 3}[radius]
+
+    def test_a_stack_of_more_than_one_block(self):
+        n = 60
+        n_frames = sim._BLOCK_CELLS // n + 9
+        rng = np.random.default_rng(6)
+        stack = rng.uniform(-6, 6, size=(n_frames, n, 2))
+        assert n_frames * n > observables._BLOCK_CELLS
+        counts = assert_matches_kd_tree(stack, 1.0)
+        assert counts.min() < counts.max()
+
     @settings(max_examples=200, deadline=None)
-    @given(block_graphs())
-    def test_matches_the_coo_path(self, graph):
-        assert np.array_equal(observables._block_counts(*graph), coo_block_counts(*graph))
-
-    def test_frames_without_pairs(self):
-        pairs = np.array([[5, 6], [4, 5]])
-        assert observables._block_counts(pairs, 3, 3).tolist() == [3, 1, 3]
-        assert observables._block_counts(np.zeros((0, 2), dtype=np.intp), 4, 5).tolist() == [5] * 4
-
-    def test_one_block_of_65536_nodes(self):
-        # 256 frames of 256 agents; the last node id is the largest uint16
-        rng = np.random.default_rng(21)
-        n_frames = n = 256
-        assert n_frames * n == observables._BLOCK_NODES
-        local = np.sort(rng.integers(0, n, size=(n_frames, 200, 2)), axis=2)
-        pairs = (local + n * np.arange(n_frames)[:, None, None]).reshape(-1, 2)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        pairs = np.vstack((pairs, [[n_frames * n - 2, n_frames * n - 1]]))
-        rng.shuffle(pairs)
-        got = observables._block_counts(pairs, n_frames, n)
-        assert np.array_equal(got, coo_block_counts(pairs, n_frames, n))
-        assert got.min() < got.max() < n
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda t: st.integers(1, 12).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n),
+                    min_size=t,
+                    max_size=t,
+                )
+            )
+        ),
+        st.sampled_from([0.5, 1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0]),
+        st.sampled_from([1.0, 0.1, 0.3]),
+    )
+    def test_small_lattice_stacks(self, frames, radius, scale):
+        assert_matches_kd_tree(np.array(frames, dtype=float) * scale, radius * scale)

@@ -150,12 +150,14 @@ NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
 
 # name -> CLI arguments; "{name}" stands for a shared input file and
-# "--out out" is appended unless the set asks for help
+# "--out out" is appended unless the set asks for help or names its own --out
 ARGUMENT_SETS = {
     "crowd": [*SPEED, "--n-agents", "150", "--n-steps", "150", "--seed", "201"],
     "long": [*SPEED, "--n-agents", "30", "--n-steps", "600", "--seed", "201"],
     # above 256 agents the simulator's and the matching's blocks hold runs of rows, not whole frames
     "many-agents": [*SPEED, "--n-agents", "300", "--n-steps", "100", "--seed", "201"],
+    # 599 analysed frames of 120 agents are 71880 cells: component_series runs two blocks
+    "many-frames": [*SPEED, "--n-agents", "120", "--n-steps", "600", "--seed", "201"],
     "tracked-csv": ["analyze", "--input", "{tracked}"],
     # k=1 leaves the Isomap graphs disconnected, so knn_graph must grow k
     "k-growth": ["analyze", "--input", "{tracked}", "--k", "1"],
@@ -212,6 +214,9 @@ ARGUMENT_SETS = {
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
+    # exits 1 before loading: the output path lies below a file; before the
+    # check it ran every stage, then failed with a bare [Errno 20]
+    "out-below-file": ["analyze", "--input", "{tracked}", "--out", "{one}/sub"],
     "help": ["run", "--help"],
 }
 
@@ -272,7 +277,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
 
 def run_set(src: Path, args: list[str], run_dir: Path) -> tuple[dict[str, bytes], str, str, int]:
     run_dir.mkdir(parents=True)
-    if "--help" not in args:
+    if "--help" not in args and "--out" not in args:
         args = [*args, "--out", "out"]
     done = python(src, ["-m", "swarmphase.cli", *args], run_dir)
     out = run_dir / "out"
