@@ -224,12 +224,16 @@ def save_distance_pgm(path, delta: np.ndarray) -> None:
     """Binary 8-bit grayscale PGM of a distance matrix.
 
     Values are rescaled by the matrix maximum so black is 0 and white is the
-    largest distance; an all-zero matrix produces an all-black image.
+    largest distance; an all-zero matrix produces an all-black image. A
+    non-finite entry is rejected.
     """
     mat = np.asarray(delta, dtype=float)
     if mat.ndim != 2:
         raise ValueError("distance matrix must be 2-D")
+    # NaN propagates through both reductions, so no n x n mask is built
     peak = mat.max()
+    if not (math.isfinite(peak) and math.isfinite(mat.min())):
+        raise ValueError("distance matrix must be finite")
     pixels = np.zeros(mat.shape, dtype=np.uint8)
     if peak > 0:
         # scaled, rounded and clipped a band of rows at a time, in the band

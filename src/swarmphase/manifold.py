@@ -25,6 +25,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
+from .sim import check_track
+
 
 # rows per band where an n x n matrix is ranked, symmetrised or scaled into
 # the distance image: whole, the argsort, ``np.minimum(out, out.T)`` or
@@ -67,10 +69,8 @@ class EmbeddingReport:
 
 
 def configuration_matrix(positions: np.ndarray) -> np.ndarray:
-    """Flatten per-frame agent positions ``(T, N, 2)`` into ``(T, 2N)`` points."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 3 or pos.shape[2] != 2:
-        raise ValueError("positions must have shape (T, N, 2)")
+    """Flatten a track that passes ``sim.check_track`` into ``(T, 2N)`` points."""
+    pos = check_track(positions)
     return pos.reshape(pos.shape[0], -1)
 
 
@@ -112,6 +112,8 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array of row vectors")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 configurations to build a neighbor graph")
@@ -211,6 +213,8 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValueError("distance matrix must be square")
     n = dmat.shape[0]
+    if not np.isfinite(dmat).all():
+        raise ValueError("distance matrix must be finite")
     if not np.allclose(dmat, dmat.T):
         raise ValueError("distance matrix must be symmetric")
     if not np.allclose(np.diag(dmat), 0.0):

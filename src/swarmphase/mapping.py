@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .sim import _BLOCK_CELLS, check_coordinate_limit
+from .sim import _BLOCK_CELLS, check_track
 
 
 class LowConfidenceMatchWarning(UserWarning):
@@ -63,18 +63,16 @@ class CorrespondenceMap:
 
 
 def _frame_pair(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The two frames, checked, as one ``(2, N, 2)`` array."""
+    """The two frames as one ``(2, N, 2)`` track, checked by ``sim.check_track``."""
     pair = []
     for config, name in ((source, "source"), (target, "target")):
         pts = np.asarray(config, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"{name} must have shape (N, 2)")
-        if not np.isfinite(pts).all():
-            raise ValueError(f"{name} positions must be finite")
         pair.append(pts)
     if pair[0].shape[0] != pair[1].shape[0]:
         raise ValueError("source and target must contain the same number of agents")
-    return np.stack(pair)
+    return check_track(np.stack(pair))
 
 
 def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -82,7 +80,8 @@ def nearest_neighbor_map(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     Distance ties are broken toward the lowest target index. Coordinates are
     taken as they are, never folded into a periodic domain, so a track that
-    wraps should be given unwrapped.
+    wraps should be given unwrapped. The pair must pass ``sim.check_track``
+    as a track of two frames.
     """
     pair = _frame_pair(source, target)
     return _nearest(pair[:1], pair[1:])[0]
@@ -98,17 +97,15 @@ def _nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     # whole frames per block while N*N fits, else one frame in runs of rows
     frames = max(_BLOCK_CELLS // max(n * n, 1), 1)
     rows = max(_BLOCK_CELLS // max(n, 1), 1)
-    # far-apart finite points overflow to inf, which still compares as farthest
-    with np.errstate(over="ignore"):
-        for f in range(0, n_pairs, frames):
-            for r in range(0, n, rows):
-                src, tgt = source[f : f + frames, r : r + rows], target[f : f + frames]
-                dx = tgt[:, None, :, 0] - src[:, :, None, 0]
-                dy = tgt[:, None, :, 1] - src[:, :, None, 1]
-                dx *= dx
-                dy *= dy
-                dx += dy
-                candidates[f : f + frames, r : r + rows] = np.argmin(dx, axis=2)
+    for f in range(0, n_pairs, frames):
+        for r in range(0, n, rows):
+            src, tgt = source[f : f + frames, r : r + rows], target[f : f + frames]
+            dx = tgt[:, None, :, 0] - src[:, :, None, 0]
+            dy = tgt[:, None, :, 1] - src[:, :, None, 1]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            candidates[f : f + frames, r : r + rows] = np.argmin(dx, axis=2)
     return candidates
 
 
@@ -170,9 +167,6 @@ def _residual_match(
         d2 = deltas[..., 0] * deltas[..., 0] + deltas[..., 1] * deltas[..., 1]
         d2[closed[frames]] = np.inf
         best = np.argmin(d2, axis=1)
-        # when every free target is at d2 = inf, the lowest free one is the pick
-        stuck = np.isinf(d2[np.arange(frames.size), best])
-        best[stuck] = np.argmin(closed[frames[stuck]], axis=1)
         permutation[frames, rows] = options[np.arange(frames.size), best]
         closed[frames, best] = True
 
@@ -215,16 +209,12 @@ def velocities(dataset) -> CorrespondenceMap:
 
     Emits a ``LowConfidenceMatchWarning`` for steps where fewer than half the
     agents matched without conflicts. Distances are plain on either track: a
-    wrapped track is matched as it stands, wrap jumps included. A track with
-    a coordinate above ``sim.MAX_COORDINATE`` in magnitude, past which
-    squared distances overflow, is rejected before any matching.
+    wrapped track is matched as it stands, wrap jumps included. The dataset
+    has checked its tracks with ``sim.check_track``.
     """
     track = dataset.analysis_track()
     if track.shape[0] < 2:
         raise ValueError("need at least 2 frames")
-    if not np.isfinite(track).all():
-        raise ValueError("track positions must be finite")
-    check_coordinate_limit(track)
     maps = _match(track, 1)
     n = maps.n_agents
     matched = maps.bijective.sum(axis=1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
-from .sim import _BLOCK_CELLS, check_coordinate_limit
+from .sim import _BLOCK_CELLS, check_track
 
 # the estimators interaction_epsilon accepts
 EPSILON_MODES = ("all_pairs", "nearest_neighbor")
@@ -90,13 +90,9 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
 
     ``all_pairs``: mean distance over every unordered agent pair and every
     frame. ``nearest_neighbor``: mean over agents and frames of each agent's
-    nearest-neighbor distance.
+    nearest-neighbor distance. ``positions`` must pass ``sim.check_track``.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 2:
-        pos = pos[None, :, :]
-    if pos.ndim != 3 or pos.shape[2] != 2:
-        raise ValueError("positions must have shape (T, N, 2)")
+    pos = check_track(positions)
     if pos.shape[1] < 2:
         raise ValueError("interaction radius needs at least 2 agents")
     if mode == "all_pairs":
@@ -132,16 +128,11 @@ def component_series(positions: np.ndarray, radius: float) -> np.ndarray:
     over a block of ``_BLOCK_CELLS // N`` frames: at each step every frame
     adds its nearest agent outside its tree. An edge is within reach when
     ``dx*dx + dy*dy <= radius*radius``, as in a k-d tree's range search.
+    ``positions`` must pass ``sim.check_track``.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 3 or pos.shape[2] != 2:
-        raise ValueError("positions must have shape (T, N, 2)")
+    pos = check_track(positions)
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if not np.isfinite(pos).all():
-        raise ValueError("positions must be finite")
-    # below the limit no squared distance overflows
-    check_coordinate_limit(pos)
     n_frames, n = pos.shape[:2]
     counts = np.full(n_frames, n)
     per_block = max(_BLOCK_CELLS // max(n, 1), 1)
@@ -200,10 +191,12 @@ def coarse_observable(
 
 
 def distance_matrix(series: np.ndarray) -> np.ndarray:
-    """Pairwise absolute differences of a scalar series."""
+    """Pairwise absolute differences of a finite scalar series."""
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series must be nonempty")
+    if not np.isfinite(x).all():
+        raise ValueError("series must be finite")
     delta = np.subtract.outer(x, x)
     return np.abs(delta, out=delta)
 

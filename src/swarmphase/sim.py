@@ -34,8 +34,10 @@ TWO_PI = 2.0 * math.pi
 # Alignment vectors shorter than this are treated as zero (direction undefined).
 ZERO_ALIGNMENT_TOL = 1e-12
 
-# largest |x| or |y| a trajectory may hold, simulated or loaded; it keeps
-# Isomap's Gram matrix finite (see io.load_trajectory_csv)
+# largest |x| or |y| a trajectory may hold, simulated or loaded. It keeps
+# Isomap's Gram matrix finite (see io.load_trajectory_csv), and no squared
+# distance the matching or the component count forms overflows: below it
+# each stays under about 3.2e281
 MAX_COORDINATE = 1e140
 
 # _adjacency, mapping._nearest and observables.component_series hold at
@@ -123,20 +125,18 @@ class TrajectoryDataset:
     holds raw accumulated displacements when the data came from the
     simulator, otherwise ``None`` (e.g. data loaded from CSV). Analysis
     measures plain distances on either track, so a wrapped track keeps its
-    wrap jumps.
+    wrap jumps. Each track must pass ``check_track``, the unwrapped one first.
     """
 
     wrapped: np.ndarray
     unwrapped: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.wrapped = np.asarray(self.wrapped, dtype=float)
-        if self.wrapped.ndim != 3 or self.wrapped.shape[2] != 2:
-            raise ValueError("positions must have shape (T, N, 2)")
         if self.unwrapped is not None:
-            self.unwrapped = np.asarray(self.unwrapped, dtype=float)
-            if self.unwrapped.shape != self.wrapped.shape:
-                raise ValueError("wrapped and unwrapped tracks must have identical shape")
+            self.unwrapped = check_track(self.unwrapped)
+        self.wrapped = check_track(self.wrapped)
+        if self.unwrapped is not None and self.unwrapped.shape != self.wrapped.shape:
+            raise ValueError("wrapped and unwrapped tracks must have identical shape")
 
     @property
     def n_frames(self) -> int:
@@ -238,7 +238,7 @@ def simulate(params: SimParams) -> TrajectoryDataset:
     Initial headings are all zero; initial positions are uniform over a disk
     of radius 2 centered at ``(-L + 2, 0)``. Deterministic for a fixed seed.
     A run in which any coordinate exceeds ``MAX_COORDINATE`` in magnitude
-    fails with a ``ValueError`` naming the first such frame.
+    fails with ``check_track``'s ``ValueError`` naming the first such frame.
     """
     rng = np.random.default_rng(params.seed)
     n, n_frames = params.n_agents, params.n_steps
@@ -255,24 +255,30 @@ def simulate(params: SimParams) -> TrajectoryDataset:
     headings = np.zeros(n)
 
     # an overflow makes a coordinate or a squared distance inf: the coordinate
-    # fails the limit check below, and the distance is correctly no neighbour
+    # fails the dataset's track check, and the distance is correctly no neighbour
     with np.errstate(over="ignore"):
         for k in range(n_frames - 1):
             wrapped[k + 1], unwrapped[k + 1], headings = step(
                 wrapped[k], unwrapped[k], headings, params, k, rng
             )
-
-    for track in (unwrapped, wrapped):
-        check_coordinate_limit(track)
     return TrajectoryDataset(wrapped=wrapped, unwrapped=unwrapped)
 
 
-def check_coordinate_limit(track: np.ndarray) -> None:
-    """Reject a ``(T, N, 2)`` track holding a coordinate above ``MAX_COORDINATE`` in magnitude, by frame."""
-    beyond = np.argwhere(np.abs(track) > MAX_COORDINATE)
-    if len(beyond):
-        value = float(track[tuple(beyond[0])])
-        raise ValueError(f"frame {beyond[0, 0] + 1}: coordinate {value!r} exceeds 1e140 in magnitude")
+def check_track(positions: np.ndarray) -> np.ndarray:
+    """``positions`` as a float ``(T, N, 2)`` array of finite coordinates at most
+    ``MAX_COORDINATE`` in magnitude; raises ``ValueError`` on the first fault in
+    frame order, naming the frame of a coordinate past the limit."""
+    track = np.asarray(positions, dtype=float)
+    if track.ndim != 3 or track.shape[2] != 2:
+        raise ValueError("positions must have shape (T, N, 2)")
+    # NaN fails the comparison too, so it is found in its place in frame order
+    faults = np.argwhere(~(np.abs(track) <= MAX_COORDINATE))
+    if len(faults):
+        value = float(track[tuple(faults[0])])
+        if not math.isfinite(value):
+            raise ValueError("positions must be finite")
+        raise ValueError(f"frame {faults[0, 0] + 1}: coordinate {value!r} exceeds 1e140 in magnitude")
+    return track
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ def full_buffer_pgm_pixels(delta):
 
 
 class TestDistancePgm:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, tmp_path, value):
+        # NaN failed ``peak > 0``, so the matrix was written as an all-black image
+        delta = np.zeros((3, 3))
+        delta[2, 1] = value
+        with pytest.raises(ValueError, match="^distance matrix must be finite$"):
+            io_.save_distance_pgm(tmp_path / "d.pgm", delta)
+        assert not (tmp_path / "d.pgm").exists()
+
     def test_all_zero_matrix_is_black(self, tmp_path):
         path = tmp_path / "d.pgm"
         io_.save_distance_pgm(path, np.zeros((3, 3)))

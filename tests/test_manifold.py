@@ -83,6 +83,15 @@ class TestKnnGraph:
         with pytest.raises(ValueError):
             manifold.knn_graph(np.zeros((1, 2)), k=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [manifold.knn_graph, manifold.isomap], ids=["knn_graph", "isomap"])
+    def test_non_finite_point_rejected(self, fn, value):
+        # an inf point used to give a graph, and isomap then failed as disconnected
+        pts = np.random.default_rng(0).uniform(size=(8, 3))
+        pts[5, 1] = value
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            fn(pts, 3)
+
 
 class TestGeodesics:
     def test_path_graph_endpoints(self):
@@ -203,6 +212,14 @@ class TestClassicalMds:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
             manifold.classical_mds(np.ones((3, 3)), 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_distance_rejected_before_symmetry(self, value):
+        # a NaN distance used to fail as "must be symmetric"
+        d = squareform(pdist(np.arange(8.0).reshape(4, 2)))
+        d[1, 2] = value
+        with pytest.raises(ValueError, match="^distance matrix must be finite$"):
+            manifold.classical_mds(d, 1)
 
 
 class TestResidualVariance:

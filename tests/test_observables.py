@@ -323,6 +323,12 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             observables.distance_matrix(np.array([]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, value):
+        # a NaN used to give a NaN matrix, which the PGM writer drew all black
+        with pytest.raises(ValueError, match="^series must be finite$"):
+            observables.distance_matrix([0.1, value, 0.3])
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=2, max_size=25))
     def test_pseudometric_axioms(self, series):
@@ -374,7 +380,7 @@ class TestComponentSeriesBlocks:
     @pytest.mark.parametrize(
         "n_frames,n",
         [(60, 50), (5, 200), (7, 1), (1, 25), (1, 200)],
-        ids=["many-blocks", "frame-over-budget", "one-agent", "one-frame", "one-big-frame"],
+        ids=["many-frames", "many-agents", "one-agent", "one-frame", "one-big-frame"],
     )
     def test_matches_per_frame_oracle(self, n_frames, n):
         rng = np.random.default_rng(n_frames * 1000 + n)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmphase import sim
+from swarmphase import manifold, mapping, observables, sim
 
 
 def brute_neighbors(positions, radius, L, H):
@@ -285,6 +286,58 @@ class TestSimulate:
         ds = sim.simulate(sim.scenario_speed_switch(n_agents=4, n_steps=105, seed=0))
         assert ds.analysis_track() is ds.unwrapped
         assert replace(ds, unwrapped=None).analysis_track() is ds.wrapped
+
+
+# every entry that takes a track, each called on a (T, N, 2)-like stack
+TRACK_ENTRIES = {
+    "TrajectoryDataset": lambda track: sim.TrajectoryDataset(wrapped=track),
+    "correspond": lambda track: mapping.correspond(track[0], track[1]),
+    "nearest_neighbor_map": lambda track: mapping.nearest_neighbor_map(track[0], track[1]),
+    "interaction_epsilon": observables.interaction_epsilon,
+    "component_series": lambda track: observables.component_series(track, 1.0),
+    "configuration_matrix": manifold.configuration_matrix,
+}
+
+
+class TestCheckTrack:
+    @pytest.mark.parametrize("entry", TRACK_ENTRIES)
+    @pytest.mark.parametrize("fault", ["three-axes", "nan", "beyond-limit"])
+    def test_every_entry_rejects_a_bad_track(self, entry, fault):
+        track = np.zeros((2, 3, 3 if fault == "three-axes" else 2))
+        track[1, 2, 1] = {"three-axes": 0.0, "nan": np.nan, "beyond-limit": 1e141}[fault]
+        message = {
+            "three-axes": "positions must have shape (T, N, 2)",
+            "nan": "positions must be finite",
+            "beyond-limit": "frame 2: coordinate 1e+141 exceeds 1e140 in magnitude",
+        }[fault]
+        if fault == "three-axes" and entry in ("correspond", "nearest_neighbor_map"):
+            message = "source must have shape (N, 2)"  # the pair entries name the side
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TRACK_ENTRIES[entry](track)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (np.nan, 1e141, "positions must be finite"),
+            (-np.inf, 1e141, "positions must be finite"),
+            (-2e141, np.nan, "frame 2: coordinate -2e+141 exceeds 1e140 in magnitude"),
+        ],
+        ids=["nan-first", "inf-first", "beyond-limit-first"],
+    )
+    def test_the_first_fault_in_frame_order_is_reported(self, first, second, message):
+        track = np.zeros((3, 2, 2))
+        track[1, 1, 1], track[2, 0, 0] = first, second
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.check_track(track)
+
+    def test_the_unwrapped_track_is_checked_first(self):
+        track = np.zeros((2, 2, 2))
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            sim.TrajectoryDataset(wrapped=track + 1e141, unwrapped=track + np.nan)
+
+    def test_a_valid_track_is_returned_as_floats(self):
+        track = sim.check_track([[[1, -1]], [[sim.MAX_COORDINATE, -sim.MAX_COORDINATE]]])
+        assert track.dtype == float and track.shape == (2, 1, 2)
 
 
 class TestParamValidation:

@@ -211,6 +211,11 @@ ARGUMENT_SETS = {
     # exits 1 at sim, frame 2; before the step loop ignored overflow it first
     # warned "overflow encountered in add"
     "overflow-dt": [*SPEED, "--n-agents", "10", "--n-steps", "100", "--dt", "1e308"],
+    # exits 1 at sim, frame 21: the one simulate set that reaches the limit
+    "simulate-huge-dt": ["simulate", "--scenario", "speed-switch", "--n-agents", "10", "--n-steps", "100", "--dt", "1e140"],
+    # exits 1 at sim, frame 1: both tracks start at x = -1e150, so the message
+    # is the same whichever track is checked first
+    "huge-half-width": [*SPEED, "--n-agents", "10", "--n-steps", "100", "--half-width", "1e150"],
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
