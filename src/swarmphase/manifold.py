@@ -12,6 +12,11 @@ Graph connectivity and Dijkstra shortest paths come from
 ``scipy.sparse.csgraph``. MDS solves only the top eigenpairs it reads (the
 top ``d_max`` in ``isomap``) with ``scipy.linalg.eigh(subset_by_index=...)``,
 and fixes each axis's sign: its largest-magnitude entry is positive.
+
+Every Euclidean distance has the bits of ``scipy.spatial.distance.pdist``:
+squared differences added one axis at a time from the first, then ``sqrt``.
+No n x n distance matrix is built for the neighbour graph: a Gram-matrix
+estimate screens each point's candidates, and only those are measured.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.spatial.distance import pdist, squareform
 
 from .sim import check_track
 
 
-# rows per band where an n x n matrix is ranked, symmetrised or scaled into
-# the distance image: whole, the argsort, ``np.minimum(out, out.T)`` or
-# ``mat / peak`` would build a second n x n array
+# rows per band where an n x n quantity is screened, condensed, symmetrised
+# or scaled into the distance image: whole, the Gram estimates, the upper
+# triangle's differences, ``np.minimum(out, out.T)`` or ``mat / peak`` would
+# build a second n x n array
 _BAND_ROWS = 64
 
 
@@ -74,16 +79,56 @@ def configuration_matrix(positions: np.ndarray) -> np.ndarray:
     return pos.reshape(pos.shape[0], -1)
 
 
-def _nearest_ranks(distances: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` columns of the stable ``argsort`` of each row, past column 0.
+def _exact_distances(columns: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``pdist``'s distance of each pair ``(rows[m], cols[m])`` of the points
+    whose coordinates are the columns of ``columns``, shape ``(dim, n)``."""
+    total = np.zeros(len(rows))
+    for axis in columns:
+        step = axis[rows] - axis[cols]
+        step *= step
+        total += step
+    return np.sqrt(total, out=total)
 
-    Each band of rows is sorted whole and cut, so no n x n index array is built.
+
+def _nearest_ranks(columns: np.ndarray, width: int) -> np.ndarray:
+    """Each point's ``width`` nearest other points, nearest first and ties in
+    index order: the stable ``argsort`` of its row of ``pdist`` distances, past itself.
+
+    A Gram band of centred points ``a``, ``b`` estimates the squared
+    distances. To first order an estimate is within
+    ``(dim + 3) * eps * (|a| + |b|) ** 2`` of ``pdist``'s sum of squares, and
+    two sums that tie under ``sqrt`` differ by at most
+    ``2 * eps * (|a| + |b|) ** 2``. So with ``|b|`` taken as the largest norm,
+    ``bound = (dim + 5) * (eps * (|a| + |b|) ** 2 + tiny)`` covers an
+    estimate's error, half such a tie, the higher orders and underflow: every
+    point that can rank ahead of or tie with a row's ``width``-th has an
+    estimate within ``2 * bound`` of that row's ``width``-th estimate. Only
+    those candidates are measured exactly and sorted.
     """
-    n = distances.shape[0]
+    dim, n = columns.shape
+    # inf - inf in the centring is NaN, which the check below also refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = columns.T - columns.mean(axis=1)
+        squares = np.einsum("ij,ij->i", centred, centred)
+        norms = np.sqrt(squares)
+        bound = (dim + 5) * (np.finfo(float).eps * (norms + norms.max()) ** 2 + np.finfo(float).tiny)
+    if not np.isfinite(bound).all():
+        raise ValueError("points are too far apart: their squared distances overflow")
     ranked = np.empty((n, width), dtype=np.intp)
     for lo in range(0, n, _BAND_ROWS):
-        order = np.argsort(distances[lo : lo + _BAND_ROWS], axis=1, kind="stable")
-        ranked[lo : lo + _BAND_ROWS] = order[:, 1 : width + 1]
+        hi = min(lo + _BAND_ROWS, n)
+        estimates = centred[lo:hi] @ centred.T
+        estimates *= -2.0
+        estimates += squares[lo:hi, None]
+        estimates += squares
+        band = np.arange(hi - lo)
+        # a point is not its own neighbour
+        estimates[band, band + lo] = np.inf
+        reach = np.partition(estimates, width - 1, axis=1)[:, width - 1] + 2.0 * bound[lo:hi]
+        rows, cols = np.nonzero(estimates <= reach[:, None])
+        order = np.lexsort((cols, _exact_distances(columns, rows + lo, cols), rows))
+        # nonzero lists the rows in order, each with at least width candidates
+        ranked[lo:hi] = cols[order][np.searchsorted(rows, band)[:, None] + np.arange(width)]
     return ranked
 
 
@@ -120,13 +165,9 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     if k < 1:
         raise ValueError("k must be at least 1")
 
-    distances = squareform(pdist(pts))
-    # self sorts first at -1; after it come the other points in rank order,
-    # ties in index order (the diagonal is never read as a weight)
-    np.fill_diagonal(distances, -1.0)
-
+    columns = pts.T.copy()
     k_eff = min(k, n - 1)
-    ranked = _nearest_ranks(distances, k_eff)
+    ranked = _nearest_ranks(columns, k_eff)
     while True:
         # row i lists its k_eff nearest; undirected components link i and j
         # when either row lists the other
@@ -138,14 +179,14 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
             break
         k_eff += 1
         if k_eff > ranked.shape[1]:
-            ranked = _nearest_ranks(distances, min(2 * ranked.shape[1], n - 1))
+            ranked = _nearest_ranks(columns, min(2 * ranked.shape[1], n - 1))
 
     # sorted_indices: the sum need not list a row's neighbours in index order
     edges = (listed + listed.T).sorted_indices()
     cols = edges.indices.astype(np.intp)
     rows = np.repeat(np.arange(n), np.diff(edges.indptr))
     neighbors = np.split(cols, edges.indptr[1:-1])
-    weights = np.split(distances[rows, cols], edges.indptr[1:-1])
+    weights = np.split(_exact_distances(columns, rows, cols), edges.indptr[1:-1])
     return NeighborGraph(n_vertices=n, k=k_eff, neighbors=neighbors, weights=weights)
 
 
@@ -233,6 +274,42 @@ def classical_mds(distances: np.ndarray, dim: int) -> np.ndarray:
     return evecs * np.sqrt(evals)
 
 
+def _upper_triangle(mat: np.ndarray) -> np.ndarray:
+    """The condensed form of a square matrix: its upper triangle in row order."""
+    n = mat.shape[0]
+    return mat[np.arange(n)[:, None] < np.arange(n)]
+
+
+def _add_squared_differences(total: np.ndarray, column: np.ndarray) -> None:
+    """Add ``(column[i] - column[j]) ** 2`` to the condensed ``total`` entry of
+    each pair ``i < j``, in place, 64 rows of the upper triangle at a time."""
+    n = len(column)
+    start = 0
+    for lo in range(0, n - 1, _BAND_ROWS):
+        hi = min(lo + _BAND_ROWS, n - 1)
+        step = np.subtract.outer(column[lo:hi], column[lo:])
+        step *= step
+        upper = step[np.arange(lo, hi)[:, None] < np.arange(lo, n)]
+        total[start : start + len(upper)] += upper
+        start += len(upper)
+
+
+def _residual(g: np.ndarray, gg: float, e: np.ndarray, dim: int) -> float:
+    """``residual_variance`` from the centred condensed geodesics ``g``,
+    ``gg = g @ g`` and the embedded distances ``e``, which are centred in place."""
+    e -= e.mean()
+    ee = e @ e
+    if gg == 0.0 or ee == 0.0:
+        warnings.warn(
+            f"d={dim}: distance vector has zero variance; residual variance defined as 0",
+            ManifoldWarning,
+            stacklevel=3,
+        )
+        return 0.0
+    rho = (g @ e) / (np.sqrt(gg) * np.sqrt(ee))
+    return float(np.clip(1.0 - rho * rho, 0.0, 1.0))
+
+
 def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
     """One minus the squared correlation of geodesic vs embedded distances.
 
@@ -242,22 +319,30 @@ def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
     gmat = np.asarray(geodesics, dtype=float)
     coords = np.asarray(embedding, dtype=float)
     n = coords.shape[0]
-    if gmat.shape[0] != (n if gmat.ndim == 2 else n * (n - 1) // 2):
+    if gmat.shape != ((n, n) if gmat.ndim == 2 else (n * (n - 1) // 2,)):
         raise ValueError("geodesic matrix and embedding must cover the same points")
-    g = squareform(gmat, checks=False) if gmat.ndim == 2 else gmat
+    g = _upper_triangle(gmat) if gmat.ndim == 2 else gmat
     g = g - g.mean()
-    e = pdist(coords)
-    e -= e.mean()
-    gg, ee = g @ g, e @ e
-    if gg == 0.0 or ee == 0.0:
-        warnings.warn(
-            f"d={coords.shape[1]}: distance vector has zero variance; residual variance defined as 0",
-            ManifoldWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    rho = (g @ e) / (np.sqrt(gg) * np.sqrt(ee))
-    return float(np.clip(1.0 - rho * rho, 0.0, 1.0))
+    total = np.zeros(n * (n - 1) // 2)
+    for column in coords.T:
+        _add_squared_differences(total, column)
+    return _residual(g, g @ g, np.sqrt(total, out=total), coords.shape[1])
+
+
+def _residual_curve(condensed: np.ndarray, embedding: np.ndarray) -> np.ndarray:
+    """``residual_variance(condensed, embedding[:, :d])`` for every ``d``, the
+    same bits: one running sum of squared differences gains an embedding axis
+    per ``d``, which is how ``pdist`` adds them. ``condensed`` is centred in place.
+    """
+    condensed -= condensed.mean()
+    gg = condensed @ condensed
+    total = np.zeros_like(condensed)
+    distances = np.empty_like(condensed)
+    curve = np.empty(embedding.shape[1])
+    for d, column in enumerate(embedding.T):
+        _add_squared_differences(total, column)
+        curve[d] = _residual(condensed, gg, np.sqrt(total, out=distances), d + 1)
+    return curve
 
 
 def estimate_dimension(residuals: np.ndarray, threshold: float = 0.1) -> int:
@@ -298,16 +383,14 @@ def isomap(points: np.ndarray, k: int = 7, d_max: int = 10, threshold: float = 0
     geo = geodesic_distances(graph)
     cap = min(d_max, n - 1)
 
-    # the upper triangle in row order is the condensed form; squareform would
-    # first copy geo whole, because it is a view of shortest_path's output
-    condensed = geo[np.arange(n)[:, None] < np.arange(n)]
+    condensed = _upper_triangle(geo)
     # squared in place and handed over: the spectrum is solved in geo's
     # buffer, which is then freed before the residual curve
     evals, evecs = _mds_spectrum(np.square(geo, out=geo), cap)
     del geo
     full = evecs * np.sqrt(evals)
     embeddings = [full[:, :d] for d in range(1, cap + 1)]
-    residuals = np.array([residual_variance(condensed, emb) for emb in embeddings])
+    residuals = _residual_curve(condensed, full)
     return EmbeddingReport(
         embeddings=embeddings,
         residual_variances=residuals,

@@ -16,8 +16,6 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .sim import _BLOCK_CELLS, check_track
 
@@ -91,17 +89,32 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
     ``all_pairs``: mean distance over every unordered agent pair and every
     frame. ``nearest_neighbor``: mean over agents and frames of each agent's
     nearest-neighbor distance. ``positions`` must pass ``sim.check_track``.
+
+    The all-pairs mean has the bits of adding ``pdist(frame).sum()`` frame by
+    frame: a block of frames is gathered into C-contiguous rows of pair
+    distances, one row per frame in ``pdist``'s pair order, so that numpy sums
+    each row pairwise as it sums ``pdist``'s output. Only the nearest-neighbour
+    mean imports ``scipy.spatial``.
     """
     pos = check_track(positions)
     if pos.shape[1] < 2:
         raise ValueError("interaction radius needs at least 2 agents")
     if mode == "all_pairs":
+        first, second = np.triu_indices(pos.shape[1], 1)
+        per_block = max(_BLOCK_CELLS // len(first), 1)
         total = 0.0
-        for frame in pos:
-            total += pdist(frame).sum()
-        n = pos.shape[1]
-        return total / (pos.shape[0] * (n * (n - 1) // 2))
+        for start in range(0, len(pos), per_block):
+            block = pos[start : start + per_block]
+            step = np.take(block, first, axis=1)
+            step -= np.take(block, second, axis=1)
+            step *= step
+            rows = step[..., 0] + step[..., 1]
+            for row_sum in np.sqrt(rows, out=rows).sum(axis=1):
+                total += row_sum
+        return total / (len(pos) * len(first))
     if mode == "nearest_neighbor":
+        from scipy.spatial import cKDTree
+
         total = 0.0
         for frame in pos:
             dist, _ = cKDTree(frame).query(frame, k=2)

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .manifold import EmbeddingReport, isomap
+from .manifold import EmbeddingReport, ManifoldWarning, isomap
 
 
 class SegmentationWarning(UserWarning):
@@ -152,9 +152,20 @@ def per_segment_isomap(
 
     ``points`` holds one configuration per step, aligned with the step
     indices of the segmentation. Segments with fewer than 3 configurations
-    are skipped with a warning (``None`` in the returned list).
+    are skipped with a warning (``None`` in the returned list). Each
+    ``ManifoldWarning`` is issued again, in order, after its Isomap, with the
+    Isomap's name in front: ``segment 50-99: ...`` or ``full: ...``.
     """
     pts = np.asarray(points, dtype=float)
+
+    def named_isomap(name: str, rows: np.ndarray) -> EmbeddingReport:
+        with warnings.catch_warnings(record=True) as caught:
+            report = isomap(rows, k=k, d_max=d_max, threshold=threshold)
+        for w in caught:
+            message = f"{name}: {w.message}" if issubclass(w.category, ManifoldWarning) else w.message
+            warnings.warn(message, w.category, stacklevel=3)
+        return report
+
     reports: list[EmbeddingReport | None] = []
     for seg in segmentation.segments:
         rows = pts[seg.start - 1 : seg.end]
@@ -166,6 +177,5 @@ def per_segment_isomap(
             )
             reports.append(None)
             continue
-        reports.append(isomap(rows, k=k, d_max=d_max, threshold=threshold))
-    full = isomap(pts, k=k, d_max=d_max, threshold=threshold)
-    return reports, full
+        reports.append(named_isomap(f"segment {seg.start}-{seg.end}", rows))
+    return reports, named_isomap("full", pts)

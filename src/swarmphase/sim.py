@@ -40,8 +40,9 @@ ZERO_ALIGNMENT_TOL = 1e-12
 # each stays under about 3.2e281
 MAX_COORDINATE = 1e140
 
-# _adjacency, mapping._nearest and observables.component_series hold at
-# most this many cells at once: 512 KB per float64 temporary
+# _adjacency, mapping._nearest, observables.interaction_epsilon (per
+# coordinate) and observables.component_series hold at most this many cells
+# (agent pairs) at once: 512 KB per float64 temporary
 _BLOCK_CELLS = 1 << 16
 
 
@@ -103,6 +104,11 @@ class SimParams:
             setattr(self, key, np.broadcast_to(value, (n_updates,)).copy())
         if not np.isfinite(self.speed_base).all():
             raise ValueError("speed_base must be finite")
+        # the longest step an agent can take; an infinite one would make NaN
+        # positions (inf times a zero heading component) inside the step loop
+        fastest, jitter, dt = float(np.abs(self.speed_base).max()), float(self.speed_jitter), float(self.dt)
+        if not math.isfinite((fastest + jitter) * dt):
+            raise ValueError(f"speed_base: the longest step ({fastest!r} + {jitter!r}) * {dt!r} is not finite")
         if not (np.isfinite(self.noise) & (self.noise >= 0)).all():
             raise ValueError("noise amplitudes must be finite and non-negative")
         # an amplitude of -0.0 passes the checks above, but numpy's uniform

@@ -494,6 +494,13 @@ class TestNonFiniteSettingsAreRejected:
         assert not (tmp_path / "out").exists()
 
 
+def isomap_names(out):
+    """The name in front of each Isomap's warnings, in the order a run issues
+    them: each segment's (none has fewer than 3 steps here), then the whole run's."""
+    rows = [line.split(",") for line in (out / "segments.csv").read_text().splitlines()[1:]]
+    return [f"segment {start}-{end}" for start, end, *_ in rows] + ["full"]
+
+
 class TestWarningsOnStderr:
     def test_manifold_warning_is_printed_by_name(self, tmp_path, capsys):
         argv = [
@@ -503,23 +510,27 @@ class TestWarningsOnStderr:
         ]
         shown = warnings.showwarning
         assert cli.main(argv) == 0
-        # one line per Isomap: the whole run's and each segment's
-        isomaps = len(list((tmp_path / "out").glob("residual_*.csv")))
+        # one line per Isomap, each segment's and then the whole run's, named
+        names = isomap_names(tmp_path / "out")
+        assert len(names) == len(list((tmp_path / "out").glob("residual_*.csv")))
         assert capsys.readouterr().err.splitlines() == [
-            "swarmphase: warning: ManifoldWarning: no dimension reaches residual 1e-12; reporting the maximum tried"
-        ] * isomaps
+            f"swarmphase: warning: ManifoldWarning: {name}: no dimension reaches residual 1e-12; reporting the maximum tried"
+            for name in names
+        ]
         assert warnings.showwarning is shown
 
     def test_every_repeated_warning_is_printed(self, tmp_path, capsys):
         # no Isomap reaches the threshold, so the whole-run one and each
-        # segment's raise the same text from the same line: one line each
+        # segment's raise the same text from the same line: one line each,
+        # told apart by the Isomap's name
         out = tmp_path / "out"
         assert cli.main([*small_run_args(out), "--threshold", "1e-12"]) == 0
-        isomaps = len(list(out.glob("residual_*.csv")))
-        assert isomaps == 4
+        names = isomap_names(out)
+        assert len(names) == len(list(out.glob("residual_*.csv"))) == 4
         assert capsys.readouterr().err.splitlines() == [
-            "swarmphase: warning: ManifoldWarning: no dimension reaches residual 1e-12; reporting the maximum tried"
-        ] * isomaps
+            f"swarmphase: warning: ManifoldWarning: {name}: no dimension reaches residual 1e-12; reporting the maximum tried"
+            for name in names
+        ]
 
     def test_low_confidence_warning_is_printed_by_name(self, tmp_path, capsys):
         frames = sim.simulate(sim.scenario_speed_switch(n_agents=10, n_steps=105, seed=3)).unwrapped.copy()
@@ -770,3 +781,34 @@ class TestExitPolicy:
         assert (done.stdout, done.stderr, done.returncode) == (captured.out, captured.err, code)
         assert captured.err.startswith("swarmphase: ")
         assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in-process")
+
+
+class TestImports:
+    """Only the nearest-neighbour interaction radius loads scipy.spatial."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from swarmphase import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, *(name in sys.modules for name in ('scipy.spatial', 'scipy.special')))\n"
+    )
+
+    def test_default_commands_leave_scipy_spatial_and_special_unloaded(self, tmp_path):
+        runs = [
+            ["run", "--scenario", "speed-switch", "--n-agents", "12", "--n-steps", "110", "--out", "sim"],
+            ["analyze", "--input", "sim/trajectory_unwrapped.csv", "--out", "analyzed"],
+            ["isomap", "--input", "sim/trajectory_unwrapped.csv", "--out", "iso"],
+            ["analyze", "--input", "sim/trajectory_unwrapped.csv", "--epsilon-mode", "nearest_neighbor", "--out", "nn"],
+        ]
+        outputs = [python_process(["-c", self.SCRIPT, *args], tmp_path) for args in runs]
+        # the last stdout line is the probe's, after the run's own report
+        assert [(done.stdout.splitlines()[-1], done.stderr) for done in outputs] == [
+            ("0 False False", ""),
+            ("0 False False", ""),
+            ("0 False False", ""),
+            ("0 True True", ""),
+        ]
+        # the nearest-neighbour mode still gives the library's radius
+        track = io_.load_trajectory_csv(tmp_path / "sim" / "trajectory_unwrapped.csv").analysis_track()
+        epsilon = observables.interaction_epsilon(track, "nearest_neighbor")
+        assert f"epsilon: {io_.format_float(epsilon)}" in (tmp_path / "nn" / "summary.txt").read_text()

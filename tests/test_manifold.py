@@ -263,6 +263,43 @@ class TestResidualVariance:
             manifold.residual_variance(np.zeros((3, 3)), np.zeros((3, 2)))
 
 
+def pdist_residual(condensed, coords):
+    """Reference residual variance: the correlation of the condensed geodesics with ``pdist``."""
+    g = condensed - condensed.mean()
+    e = pdist(coords)
+    e -= e.mean()
+    gg, ee = g @ g, e @ e
+    if gg == 0.0 or ee == 0.0:
+        return 0.0
+    rho = (g @ e) / (np.sqrt(gg) * np.sqrt(ee))
+    return float(np.clip(1.0 - rho * rho, 0.0, 1.0))
+
+
+# 65 points have 64 rows in the upper triangle, one band; 66 have two
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 130, 200])
+def test_running_sums_have_the_bits_of_pdist_for_each_dimension(n):
+    rng = np.random.default_rng(n)
+    coords = rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-4, 5, size=8)
+    total = np.zeros(n * (n - 1) // 2)
+    for d in range(1, 9):
+        manifold._add_squared_differences(total, coords[:, d - 1])
+        assert np.sqrt(total).tobytes() == pdist(coords[:, :d]).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 40, 66, 150])
+def test_residual_curve_has_the_bits_of_pdist_for_each_dimension(n):
+    rng = np.random.default_rng(n + 1)
+    pts = np.cumsum(rng.normal(size=(n, 12)), axis=0)
+    report = manifold.isomap(pts, k=5, d_max=10)
+    condensed = squareform(manifold.geodesic_distances(manifold.knn_graph(pts, 5)), checks=False)
+    full = report.embeddings[-1]
+    want = [pdist_residual(condensed, full[:, :d]) for d in range(1, full.shape[1] + 1)]
+    assert report.residual_variances.tobytes() == np.array(want).tobytes()
+    # the public function measures its own distances, with the same bits
+    got = [manifold.residual_variance(condensed, full[:, :d]) for d in range(1, full.shape[1] + 1)]
+    assert got == want
+
+
 class TestEstimateDimension:
     def test_threshold_rule(self):
         r = np.array([0.8, 0.3, 0.05, 0.04, 0.03])
@@ -429,6 +466,66 @@ def test_knn_graph_grows_k_until_the_clusters_connect():
     pts = np.vstack([rng.uniform(size=(8, 3)) + 100.0 * c for c in range(3)])
     graph = assert_matches_dense_knn_graph(pts[rng.permutation(len(pts))], 1)
     assert graph.k == 8
+
+
+# the screen's hard cases: a common offset of 1e6 under steps of 1e-3 (the
+# Gram matrix of the raw points would cancel away every difference), lattice
+# ties at the k-th rank, coordinates at the track limit and repeated points
+SCREEN_CASES = {
+    "offset-lattice": lambda rng: 1e6 + 1e-3 * rng.integers(0, 4, size=(150, 6)),
+    "offset-walk": lambda rng: 1e6 + np.cumsum(1e-3 * rng.normal(size=(130, 20)), axis=0),
+    "ties": lambda rng: rng.integers(0, 3, size=(140, 3)).astype(float),
+    "limit": lambda rng: 1e140 * rng.choice([-1.0, 0.0, 1.0], size=(90, 4)) * rng.integers(1, 3, size=(1, 4)),
+    "duplicates": lambda rng: rng.normal(size=(12, 5))[rng.integers(0, 12, size=100)],
+}
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("kind", SCREEN_CASES)
+def test_knn_graph_screen_matches_the_dense_reference(kind, k):
+    assert_matches_dense_knn_graph(SCREEN_CASES[kind](np.random.default_rng(k)), k)
+
+
+@st.composite
+def screen_stress_points(draw):
+    """Small point sets of one of ``SCREEN_CASES``' kinds, with a random k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(2, 70)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["offset", "ties", "limit", "duplicates"]))
+    if kind == "offset":
+        pts = 1e6 + 1e-3 * rng.integers(0, 4, size=(n, dim))
+    elif kind == "ties":
+        pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+    elif kind == "limit":
+        pts = 1e140 * rng.choice([-1.0, 0.0, 1.0], size=(n, dim))
+    else:
+        pts = rng.normal(size=(draw(st.integers(1, 10)), dim))
+        pts = pts[rng.integers(0, len(pts), size=n)]
+    return pts, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_stress_points())
+def test_knn_graph_screen_matches_the_dense_reference_on_stress_sets(case):
+    assert_matches_dense_knn_graph(*case)
+
+
+def test_knn_graph_rejects_points_whose_squared_distances_overflow():
+    with pytest.raises(ValueError, match="^points are too far apart: their squared distances overflow$"):
+        manifold.knn_graph(np.array([[-1e300, 0.0], [0.0, 0.0], [1e300, 0.0]]), 1)
+
+
+def test_knn_graph_holds_no_square_distance_matrix():
+    # the screen holds bands of 64 rows; squareform(pdist) held 1.5 matrices
+    n = 599
+    pts = np.cumsum(np.random.default_rng(1).normal(size=(n, 60)), axis=0)
+    tracemalloc.start()
+    try:
+        manifold.knn_graph(pts, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n * n * 8
 
 
 def test_knn_graph_grows_k_past_twice_the_request_across_bands():

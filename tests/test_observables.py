@@ -171,6 +171,32 @@ class TestInteractionEpsilon:
         with pytest.raises(ValueError):
             observables.interaction_epsilon(np.zeros((2, 1, 2)))
 
+    # the two tracks on which an all-pairs sum over the wrong layout moved
+    # the last bit: split-rejoin N=60 seed 201, and the same scenario at
+    # dt 1.0 over 600 steps (the tracked-csv benchmark's track); and 300
+    # agents, where one frame's pairs fill more than a block
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_agents=60, seed=201),
+            dict(n_agents=60, n_steps=600, dt=1.0, seed=201),
+            dict(n_agents=300, n_steps=100, seed=3),
+        ],
+        ids=["split-rejoin", "tracked-csv", "many-agents"],
+    )
+    def test_all_pairs_has_the_bits_of_the_per_frame_pdist_sum(self, overrides):
+        track = sim.simulate(sim.scenario_split_rejoin(**overrides)).unwrapped
+        total = 0.0
+        for frame in track:
+            total += pdist(frame).sum()
+        n = track.shape[1]
+        want = total / (len(track) * (n * (n - 1) // 2))
+        # a strided view of the same track: every other column of a wider array
+        wide = np.zeros(track.shape[:2] + (4,))
+        wide[..., ::2] = track
+        for positions in (track, wide[..., ::2]):
+            assert observables.interaction_epsilon(positions) == want
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="epsilon mode"):
             observables.interaction_epsilon(np.zeros((1, 3, 2)), "median")

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmphase import mapping, observables, segment, sim
+from swarmphase import manifold, mapping, observables, segment, sim
 from swarmphase.manifold import configuration_matrix
 
 
@@ -129,6 +131,28 @@ class TestPerSegmentIsomap:
             reports, _ = segment.per_segment_isomap(pts, segs, k=3)
         assert reports[0] is None
         assert reports[1] is not None
+
+
+def test_isomap_warnings_carry_the_isomap_name_in_order():
+    # 20 equal configurations: every Isomap's distances have zero variance
+    # at each dimension; the 2-step segment is skipped, unnamed
+    pts = np.ones((20, 4))
+    segs = segment.PhaseSegmentation(
+        segments=[segment.Segment(1, 10, 0.0), segment.Segment(11, 12, 0.0), segment.Segment(13, 20, 0.0)],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        segment.per_segment_isomap(pts, segs, k=3, d_max=2)
+    zero = "distance vector has zero variance; residual variance defined as 0"
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (manifold.ManifoldWarning, f"segment 1-10: d=1: {zero}"),
+        (manifold.ManifoldWarning, f"segment 1-10: d=2: {zero}"),
+        (segment.SegmentationWarning, "segment 11-12 has fewer than 3 configurations; skipped"),
+        (manifold.ManifoldWarning, f"segment 13-20: d=1: {zero}"),
+        (manifold.ManifoldWarning, f"segment 13-20: d=2: {zero}"),
+        (manifold.ManifoldWarning, f"full: d=1: {zero}"),
+        (manifold.ManifoldWarning, f"full: d=2: {zero}"),
+    ]
 
 
 def test_speed_switch_scenario_structure():

@@ -382,6 +382,22 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             single_agent_params(**{field: value})
 
+    def test_infinite_step_fails_by_name_before_any_step(self):
+        # (1e10 + 0.01) * 1e300 overflows: the step loop used to warn
+        # "invalid value" twice, then fail with "positions must be finite"
+        with pytest.raises(
+            ValueError, match=r"^speed_base: the longest step \(10000000000\.0 \+ 0\.01\) \* 1e\+300 is not finite$"
+        ):
+            sim.scenario_speed_switch(n_agents=5, slow_speed=1e10, fast_speed=1e10, dt=1e300)
+        # a negative speed steps as far as its magnitude
+        with pytest.raises(ValueError, match=r"^speed_base: the longest step \(1e\+300 \+ 0\.0\) \* 10000000000\.0 is not finite$"):
+            single_agent_params(speed_base=-1e300, speed_jitter=0.0, dt=1e10)
+
+    def test_finite_step_past_the_coordinate_limit_fails_by_frame(self):
+        params = sim.scenario_speed_switch(n_agents=5, slow_speed=1e10, fast_speed=1e10, dt=1e290)
+        with pytest.raises(ValueError, match="^frame 2: coordinate .* exceeds 1e140 in magnitude$"):
+            sim.simulate(params)
+
     @pytest.mark.parametrize("field", ["speed_jitter", "noise"])
     def test_negative_zero_amplitude_is_zero(self, field):
         # numpy's uniform refuses the range [0.0, -0.0]

@@ -145,6 +145,16 @@ groups = np.repeat(np.arange(3), 30)[:, None, None] * np.array([0.5, 0.0])
 io.save_trajectory_csv(sys.argv[1], layout + groups + 0.02 * rng.normal(size=(90, 10, 2)))
 """
 
+# a speed-switch track moved by 1e6 along both axes: its steps of about 0.005
+# are a few hundred ulps of the coordinates, so an Isomap's Gram estimates
+# of the raw points would cancel away; the k-NN screen centres them first
+MAKE_OFFSET = """
+import sys
+from swarmphase import io, sim
+frames = sim.simulate(sim.scenario_speed_switch(n_agents=15, n_steps=120, seed=8)).unwrapped
+io.save_trajectory_csv(sys.argv[1], frames + 1e6)
+"""
+
 SPEED = ["run", "--scenario", "speed-switch"]
 NOISE = ["run", "--scenario", "noise-switch"]
 SPLIT = ["run", "--scenario", "split-rejoin"]
@@ -163,6 +173,11 @@ ARGUMENT_SETS = {
     "k-growth": ["analyze", "--input", "{tracked}", "--k", "1"],
     # k grows from 7 to 30, so knn_graph ranks the neighbours again at 14, 28 and 56 columns
     "k-growth-wide": ["isomap", "--input", "{clusters}"],
+    # the k-NN screen where a common offset dwarfs each step
+    "offset-isomap": ["isomap", "--input", "{offset}"],
+    # k=1 on the shifted lattice, whose configurations tie exactly at the
+    # cut: the screen must keep every tied candidate and rank ties by index
+    "lattice-k1": ["analyze", "--input", "{lattice}", "--k", "1", "--min-len", "5"],
     # 1-9 point segments: 3-point Isomaps with degenerate spectra, SegmentationWarnings
     "tiny-segments": ["analyze", "--input", "{tracked}", "--min-len", "1"],
     "noise-switch": [*NOISE, "--n-agents", "80", "--seed", "201"],
@@ -256,6 +271,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         ["-c", MAKE_WHITESPACE_LINES, str(dest / "whitespace.csv")],
         ["-c", MAKE_HUGE, str(dest / "huge.csv")],
         ["-c", MAKE_CLUSTERS, str(dest / "clusters.csv")],
+        ["-c", MAKE_OFFSET, str(dest / "offset.csv")],
     ]
     for args in steps:
         done = python(src, args, dest)
@@ -275,6 +291,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "whitespace": str(dest / "whitespace.csv"),
         "huge": str(dest / "huge.csv"),
         "clusters": str(dest / "clusters.csv"),
+        "offset": str(dest / "offset.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
     }
