@@ -214,24 +214,31 @@ def distance_matrix(series: np.ndarray) -> np.ndarray:
     return np.abs(delta, out=delta)
 
 
+def derived_epsilon(track: np.ndarray, mode: str = "all_pairs") -> float:
+    """``interaction_epsilon`` of a track, refusing a radius of 0, which would link no agents."""
+    epsilon = interaction_epsilon(track, mode=mode)
+    if epsilon == 0.0:
+        raise ValueError(f"epsilon: 0 with epsilon_mode {mode!r}; each agent coincides with another in every frame")
+    return epsilon
+
+
 def compute_observables(
     dataset,
     maps,
     weight_speed: float = 1.0 / 3.0,
     weight_polarization: float = 1.0 / 3.0,
     epsilon_mode: str = "all_pairs",
+    epsilon: float | None = None,
 ) -> ObservableSeries:
     """Full observable series for a dataset's analysis track and its correspondence record.
 
-    The interaction radius aggregates over all frames; component counts and
-    polarization are evaluated at the source frame of each step.
+    The interaction radius aggregates over all frames: ``epsilon`` when given,
+    otherwise ``derived_epsilon`` of the track under ``epsilon_mode``. Component
+    counts and polarization are evaluated at the source frame of each step.
     """
     track = dataset.analysis_track()
-    epsilon = interaction_epsilon(track, mode=epsilon_mode)
-    if epsilon == 0.0:
-        raise ValueError(
-            f"epsilon: 0 with epsilon_mode {epsilon_mode!r}; each agent coincides with another in every frame"
-        )
+    if epsilon is None:
+        epsilon = derived_epsilon(track, epsilon_mode)
     components = component_series(track[:-1], epsilon)
     speed = group_speed_series(maps)
     pol = polarization_series(maps.velocities)

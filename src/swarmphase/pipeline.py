@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io as io_
 from .manifold import configuration_matrix, isomap
 from .mapping import canonicalize_order, velocities
-from .observables import EPSILON_MODES, compute_observables, distance_matrix
+from .observables import EPSILON_MODES, compute_observables, derived_epsilon, distance_matrix
 from .segment import label_manifolds, per_segment_isomap, segment_series
 from .sim import SCENARIOS, make_scenario, simulate
 
@@ -296,6 +296,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     dataset = run.load()
 
+    # the radius first: a track that has none fails before the matching warns
+    epsilon = _stage("observables", derived_epsilon, dataset.analysis_track(), config.epsilon_mode)
     maps = _stage("mapping", velocities, dataset)
     series = _stage(
         "observables",
@@ -304,7 +306,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         maps,
         weight_speed=config.xi1,
         weight_polarization=config.xi2,
-        epsilon_mode=config.epsilon_mode,
+        epsilon=epsilon,
     )
 
     segmentation = _stage("segment", segment_series, series.coarse, config.min_len)

@@ -171,23 +171,36 @@ def _adjacency(
     The pairs are sorted row-major: by row, then by column within a row. Each
     block of rows is tested against every agent with the minimum-image rule
     ``dx*dx + dy*dy <= radius**2``, one axis at a time: each difference is
-    reduced by the nearest multiple of its box side.
+    reduced by the nearest multiple of its box side. That shift is applied only
+    along an axis whose positions span at least half the box side. Below that,
+    every difference has magnitude at most the span, less than half the side,
+    so ``np.rint`` of its ratio to the side is +-0 and the shift would leave it
+    unchanged (a zero's sign is lost when it is squared).
     """
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
     n = max(positions.shape[0], 1)
     per_block = max(_BLOCK_CELLS // n, 1)
+    # (coordinates, box side, shift?) per axis; np.ptp refuses an empty axis
+    axes = [
+        (positions[:, axis], 2.0 * half, len(positions) > 0 and np.ptp(positions[:, axis]) >= half)
+        for axis, half in enumerate((half_width, half_height))
+    ]
     keys = []
     # n >= 1, so no agents still make one (empty) block
     for start in range(0, n, per_block):
         squares = []
-        for axis, width in enumerate((2.0 * half_width, 2.0 * half_height)):
-            d = np.subtract.outer(positions[start : start + per_block, axis], positions[:, axis])
-            d -= width * np.rint(d / width)  # np.rint is np.round to 0 decimals
-            squares.append(d * d)
+        for coords, width, wraps in axes:
+            d = np.subtract.outer(coords[start : start + per_block], coords)
+            if wraps:
+                d -= width * np.rint(d / width)  # np.rint is np.round to 0 decimals
+            squares.append(np.multiply(d, d, out=d))
+        squares[0] += squares[1]
         # the key ``row * n + col`` of a pair is its row-major flat index
-        keys.append(np.flatnonzero(squares[0] + squares[1] <= radius * radius) + start * n)
-    return np.divmod(np.concatenate(keys), n)
+        keys.append(np.flatnonzero(squares[0] <= radius * radius) + start * n)
+    keys = np.concatenate(keys)
+    rows = keys // n
+    return rows, keys - rows * n
 
 
 def step(
@@ -211,30 +224,31 @@ def step(
     rows, cols = _adjacency(wrapped, params.interaction_radius, params.half_width, params.half_height)
     cos_h, sin_h = np.cos(headings), np.sin(headings)
     if params.rotations is None:
-        deflected = np.column_stack((cos_h, sin_h))
+        turned_x, turned_y = cos_h, sin_h
     else:
         c, s = np.cos(params.rotations[step_index]), np.sin(params.rotations[step_index])
-        deflected = np.column_stack((c * cos_h - s * sin_h, s * cos_h + c * sin_h))
+        turned_x, turned_y = c * cos_h - s * sin_h, s * cos_h + c * sin_h
 
     # bincount sums each neighborhood in ascending index order from zero,
-    # then the sums are divided: the same bits as deflected[neighbors].mean(axis=0)
-    sums = [np.bincount(rows, weights=deflected[cols, a], minlength=n) for a in (0, 1)]
-    alignment = np.column_stack(sums) / np.bincount(rows, minlength=n)[:, None]
+    # then the sums are divided: per axis, the same bits as the mean of the
+    # neighbors' turned headings
+    counts = np.bincount(rows, minlength=n)
+    align_x = np.bincount(rows, weights=turned_x[cols], minlength=n) / counts
+    align_y = np.bincount(rows, weights=turned_y[cols], minlength=n) / counts
 
     jitter = rng.uniform(-params.speed_jitter, params.speed_jitter, n)
     noise = rng.uniform(-params.noise[step_index], params.noise[step_index], n)
 
-    speeds = params.speed_base[step_index] + jitter
-    displacement = (speeds * params.dt)[:, None] * deflected
+    lengths = (params.speed_base[step_index] + jitter) * params.dt
+    displacement = np.empty_like(wrapped)
+    np.multiply(lengths, turned_x, out=displacement[:, 0])
+    np.multiply(lengths, turned_y, out=displacement[:, 1])
     new_unwrapped = unwrapped + displacement
     new_wrapped = wrap_positions(wrapped + displacement, params.half_width, params.half_height)
 
-    norms = np.linalg.norm(alignment, axis=1)
-    new_headings = np.where(
-        norms > ZERO_ALIGNMENT_TOL,
-        np.arctan2(alignment[:, 1], alignment[:, 0]) + noise,
-        headings,
-    )
+    # one addition per agent: the bits of np.linalg.norm along the last axis
+    norms = np.sqrt(align_x * align_x + align_y * align_y)
+    new_headings = np.where(norms > ZERO_ALIGNMENT_TOL, np.arctan2(align_y, align_x) + noise, headings)
     return new_wrapped, new_unwrapped, new_headings
 
 

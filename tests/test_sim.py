@@ -97,6 +97,74 @@ class TestNeighbors:
             single_agent_params(interaction_radius=0.0)
 
 
+def always_shifted_pairs(positions, radius, L, H):
+    """``sim._adjacency``'s pairs with the minimum-image shift applied on both axes, whatever their span."""
+    squares = []
+    for axis, width in enumerate((2.0 * L, 2.0 * H)):
+        d = np.subtract.outer(positions[:, axis], positions[:, axis])
+        d -= width * np.rint(d / width)
+        squares.append(d * d)
+    return np.divmod(np.flatnonzero(squares[0] + squares[1] <= radius * radius), max(len(positions), 1))
+
+
+def assert_same_pairs(positions, radius, L, H):
+    rows, cols = sim._adjacency(positions, radius, L, H)
+    want_rows, want_cols = always_shifted_pairs(positions, radius, L, H)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert rows.dtype == want_rows.dtype and cols.dtype == want_cols.dtype
+    return rows, cols
+
+
+class TestShiftRule:
+    """``_adjacency`` shifts only an axis whose positions span at least half the box side."""
+
+    @pytest.mark.parametrize("placement", ["mid-box", "seam"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_span_one_ulp_from_half_the_side(self, axis, offset, placement):
+        # two agents a span apart along one axis, around the box centre or
+        # straddling the seam at -half; the radius is the half side, so one
+        # ulp above it the pair is linked only through the shift
+        L, H = 3.0, 2.0
+        half = (L, H)[axis]
+        span = {-1: np.nextafter(half, 0.0), 0: half, 1: np.nextafter(half, np.inf)}[offset]
+        start = {"mid-box": -0.5, "seam": -1.5}[placement] * half
+        pos = np.zeros((2, 2))
+        pos[:, axis] = start, start + span
+        assert np.ptp(pos[:, axis]) == span
+        rows, _ = assert_same_pairs(pos, half, L, H)
+        assert len(rows) == 4
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x-straddles", "y-straddles"])
+    def test_one_axis_straddles_the_seam(self, axis):
+        # a compact group cut by the seam of one axis only: its pairs across
+        # that seam are linked through the shift, the other axis is not shifted
+        L, H = 3.0, 2.0
+        half = (L, H)[axis]
+        rng = np.random.default_rng(axis)
+        pos = rng.uniform(-0.4, 0.4, (16, 2))
+        pos[:, axis] = np.where(pos[:, axis] < 0.0, half, -half) + pos[:, axis]
+        assert np.ptp(pos[:, axis]) >= half and np.ptp(pos[:, 1 - axis]) < (L, H)[1 - axis]
+        rows, cols = assert_same_pairs(pos, 1.0, L, H)
+        side = pos[:, axis] > 0.0
+        assert (side[rows] != side[cols]).any()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_agent_or_one(self, n):
+        rows, cols = assert_same_pairs(np.full((n, 2), 2.5), 1.0, 3.0, 2.0)
+        assert rows.tolist() == cols.tolist() == list(range(n))
+
+    def test_groups_about_half_the_side_wide(self):
+        # extents from half to one and a half times the half side, anywhere in or around the box
+        rng = np.random.default_rng(21)
+        L, H = 3.0, 2.0
+        for _ in range(40):
+            n = int(rng.integers(2, 20))
+            extent = rng.uniform(0.5, 1.5, 2) * (L, H)
+            pos = rng.uniform(-1.5, 1.5, 2) * (L, H) + rng.uniform(0.0, 1.0, (n, 2)) * extent
+            assert_same_pairs(pos, 1.2, L, H)
+
+
 def single_agent_params(**kw):
     defaults = dict(
         n_agents=1,
@@ -478,21 +546,30 @@ def dense_step(wrapped, unwrapped, headings, params, step_index, rng):
 
 class TestDenseOracle:
     @pytest.mark.parametrize(
-        "box",
-        [{}, {"half_width": 2.5, "half_height": 2.0, "dt": 1.0}],
-        ids=["scenario-box", "tight-box"],
+        "box, shifted",
+        [
+            ({}, {False}),
+            ({"half_width": 2.5, "half_height": 2.0, "dt": 1.0}, {True}),
+            ({"half_width": 4.5, "half_height": 3.0, "dt": 1.0}, {False, True}),
+        ],
+        ids=["scenario-box", "tight-box", "seam-crossing"],
     )
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("scenario", sorted(sim.SCENARIOS))
-    def test_simulate_matches_dense_step_bit_for_bit(self, monkeypatch, scenario, seed, box):
-        # the starting disk overfills the tight box, so many neighbor pairs
-        # sit across the periodic seams throughout the run
+    def test_simulate_matches_dense_step_bit_for_bit(self, monkeypatch, scenario, seed, box, shifted):
+        # the group stays compact in the scenario box; it overfills the tight
+        # box, so many neighbor pairs sit across the periodic seams throughout
+        # the run; in the third box it crosses a seam mid-run (speed-switch
+        # seed 0: x is compact on 79 of 119 steps, y on none)
         params = sim.make_scenario(scenario, n_agents=24, n_steps=120, seed=seed, **box)
         got = sim.simulate(params)
         monkeypatch.setattr(sim, "step", dense_step)
         want = sim.simulate(params)
         assert np.array_equal(got.wrapped, want.wrapped)
         assert np.array_equal(got.unwrapped, want.unwrapped)
+        # the branches of _adjacency's shift rule that ran, one per step and axis
+        spans = np.ptp(got.wrapped[:-1], axis=1)
+        assert set((spans >= (params.half_width, params.half_height)).ravel().tolist()) == shifted
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
     def test_lattice_pairs_at_exactly_the_radius(self, radius):

@@ -187,6 +187,9 @@ ARGUMENT_SETS = {
     "tiny-box": [
         *SPEED, "--n-agents", "120", "--half-width", "1.25", "--half-height", "0.75", "--dt", "2.0", "--seed", "6",
     ],
+    # a 3-high box: the y span straddles the seam on every step and the x span
+    # never does, so the simulator shifts y differences only
+    "one-axis-seam": [*SPEED, "--n-agents", "60", "--half-height", "1.5", "--seed", "201"],
     "scenario-dump": [*SPEED, "--n-agents", "40", "--seed", "5", "--dump-correspondence"],
     "nearest-epsilon": [*NOISE, "--n-agents", "50", "--seed", "4", "--epsilon-mode", "nearest_neighbor", "--no-canonicalize"],
     "simulate": ["simulate", "--scenario", "split-rejoin", "--n-agents", "40", "--seed", "2"],
