@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace):
     try:
         file_values = load_config_file(args.config) if args.config else None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from None
     overrides = {
         key: value

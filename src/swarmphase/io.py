@@ -140,13 +140,14 @@ def _checked_rows(lines: TextIOWrapper) -> np.ndarray:
             width = len(fields)
         elif len(fields) != width:
             raise ValueError(f"line {line_no}: expected {width} fields, found {len(fields)}")
-        try:
-            if "_" in raw:
-                raise ValueError  # float() reads digit-grouping underscores: '1_0' is 10
-            numbers = list(map(float, fields))
-        except ValueError:
-            bad = next(f.strip() for f in fields if not _is_number(f))
-            raise ValueError(f"line {line_no}: non-numeric field {bad!r}") from None
+        numbers = []
+        for field in fields:
+            try:
+                if "_" in field:
+                    raise ValueError  # float() reads digit-grouping underscores: '1_0' is 10
+                numbers.append(float(field))
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-numeric field {field.strip()!r}") from None
         if not all(map(math.isfinite, numbers)):
             bad = next(f.strip() for f, v in zip(fields, numbers) if not math.isfinite(v))
             raise ValueError(f"line {line_no}: non-finite field {bad!r}")
@@ -167,14 +168,6 @@ def _checked_rows(lines: TextIOWrapper) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _is_number(field: str) -> bool:
-    try:
-        float(field)
-        return "_" not in field
-    except ValueError:
-        return False
-
-
 def _write_table(path, header: str, fields: str, table: np.ndarray) -> None:
     rows = _rows(table.shape[0], fields)
     Path(path).write_text(header + "\n" + rows % tuple(table.ravel().tolist()))
@@ -186,11 +179,10 @@ def save_observables_csv(path, series) -> None:
     _write_table(path, "t,speed,P,C,X", "%.17g,%.17g,%d,%.17g", table)
 
 
-def save_segments_csv(path, segmentation, dimensions=None) -> None:
-    """Segment table: start, end, mean X, label, estimated dimension."""
+def save_segments_csv(path, segmentation, dimensions) -> None:
+    """Segment table: start, end, mean X, label, and each segment's estimated dimension or None."""
     lines = ["start,end,mean_X,label,dstar"]
-    dims = dimensions if dimensions is not None else [None] * len(segmentation.segments)
-    for seg, dim in zip(segmentation.segments, dims):
+    for seg, dim in zip(segmentation.segments, dimensions, strict=True):
         label = "" if seg.label is None else str(seg.label)
         dstar = "" if dim is None else str(dim)
         lines.append(f"{seg.start},{seg.end},{format_float(seg.mean_value)},{label},{dstar}")

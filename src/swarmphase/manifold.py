@@ -311,18 +311,15 @@ def _residual(g: np.ndarray, gg: float, e: np.ndarray, dim: int) -> float:
 
 
 def residual_variance(geodesics: np.ndarray, embedding: np.ndarray) -> float:
-    """One minus the squared correlation of geodesic vs embedded distances.
-
-    ``geodesics`` is the square matrix or its condensed upper triangle (the
-    ``squareform`` convention).
-    """
+    """One minus the squared correlation of the square geodesic matrix's
+    distances vs the embedded distances."""
     gmat = np.asarray(geodesics, dtype=float)
     coords = np.asarray(embedding, dtype=float)
     n = coords.shape[0]
-    if gmat.shape != ((n, n) if gmat.ndim == 2 else (n * (n - 1) // 2,)):
+    if gmat.shape != (n, n):
         raise ValueError("geodesic matrix and embedding must cover the same points")
-    g = _upper_triangle(gmat) if gmat.ndim == 2 else gmat
-    g = g - g.mean()
+    g = _upper_triangle(gmat)
+    g -= g.mean()
     total = np.zeros(n * (n - 1) // 2)
     for column in coords.T:
         _add_squared_differences(total, column)

@@ -199,9 +199,9 @@ def _match(track: np.ndarray, first_step: int) -> CorrespondenceMap:
     return CorrespondenceMap(np.arange(first_step, first_step + len(source)), permutation, mask, velocities)
 
 
-def correspond(source: np.ndarray, target: np.ndarray, step: int = 1) -> CorrespondenceMap:
-    """Full bijective correspondence between two consecutive frames."""
-    return _match(_frame_pair(source, target), step)[0]
+def correspond(source: np.ndarray, target: np.ndarray) -> CorrespondenceMap:
+    """Full bijective correspondence between two consecutive frames, as step 1."""
+    return _match(_frame_pair(source, target), 1)[0]
 
 
 def velocities(dataset) -> CorrespondenceMap:

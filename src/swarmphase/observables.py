@@ -89,6 +89,7 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
     ``all_pairs``: mean distance over every unordered agent pair and every
     frame. ``nearest_neighbor``: mean over agents and frames of each agent's
     nearest-neighbor distance. ``positions`` must pass ``sim.check_track``.
+    A radius of 0, which would link no agents, is refused by name.
 
     The all-pairs mean has the bits of adding ``pdist(frame).sum()`` frame by
     frame: a block of frames is gathered into C-contiguous rows of pair
@@ -111,16 +112,20 @@ def interaction_epsilon(positions: np.ndarray, mode: str = "all_pairs") -> float
             rows = step[..., 0] + step[..., 1]
             for row_sum in np.sqrt(rows, out=rows).sum(axis=1):
                 total += row_sum
-        return total / (len(pos) * len(first))
-    if mode == "nearest_neighbor":
+        epsilon = total / (len(pos) * len(first))
+    elif mode == "nearest_neighbor":
         from scipy.spatial import cKDTree
 
         total = 0.0
         for frame in pos:
             dist, _ = cKDTree(frame).query(frame, k=2)
             total += dist[:, 1].sum()
-        return total / (pos.shape[0] * pos.shape[1])
-    raise ValueError(f"unknown epsilon mode {mode!r} (use {' or '.join(map(repr, EPSILON_MODES))})")
+        epsilon = total / (pos.shape[0] * pos.shape[1])
+    else:
+        raise ValueError(f"unknown epsilon mode {mode!r} (use {' or '.join(map(repr, EPSILON_MODES))})")
+    if epsilon == 0.0:
+        raise ValueError(f"epsilon: 0 with epsilon_mode {mode!r}; each agent coincides with another in every frame")
+    return epsilon
 
 
 def connected_component_count(positions: np.ndarray, radius: float) -> int:
@@ -214,31 +219,22 @@ def distance_matrix(series: np.ndarray) -> np.ndarray:
     return np.abs(delta, out=delta)
 
 
-def derived_epsilon(track: np.ndarray, mode: str = "all_pairs") -> float:
-    """``interaction_epsilon`` of a track, refusing a radius of 0, which would link no agents."""
-    epsilon = interaction_epsilon(track, mode=mode)
-    if epsilon == 0.0:
-        raise ValueError(f"epsilon: 0 with epsilon_mode {mode!r}; each agent coincides with another in every frame")
-    return epsilon
-
-
 def compute_observables(
     dataset,
     maps,
     weight_speed: float = 1.0 / 3.0,
     weight_polarization: float = 1.0 / 3.0,
-    epsilon_mode: str = "all_pairs",
     epsilon: float | None = None,
 ) -> ObservableSeries:
     """Full observable series for a dataset's analysis track and its correspondence record.
 
     The interaction radius aggregates over all frames: ``epsilon`` when given,
-    otherwise ``derived_epsilon`` of the track under ``epsilon_mode``. Component
-    counts and polarization are evaluated at the source frame of each step.
+    otherwise the track's all-pairs ``interaction_epsilon``. Component counts
+    and polarization are evaluated at the source frame of each step.
     """
     track = dataset.analysis_track()
     if epsilon is None:
-        epsilon = derived_epsilon(track, epsilon_mode)
+        epsilon = interaction_epsilon(track)
     components = component_series(track[:-1], epsilon)
     speed = group_speed_series(maps)
     pol = polarization_series(maps.velocities)

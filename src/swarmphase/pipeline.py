@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import io as io_
+from . import observables
 from .manifold import configuration_matrix, isomap
 from .mapping import canonicalize_order, velocities
-from .observables import EPSILON_MODES, compute_observables, derived_epsilon, distance_matrix
+from .observables import EPSILON_MODES, compute_observables, distance_matrix
 from .segment import label_manifolds, per_segment_isomap, segment_series
 from .sim import SCENARIOS, make_scenario, simulate
 
@@ -89,6 +90,8 @@ class PipelineConfig:
             raise ConfigError("min_len: must be at least 1")
         if self.merge_tol < 0:
             raise ConfigError("merge_tol: must be non-negative")
+        if self.out_dir == "":
+            raise ConfigError("out: must not be empty")
         for key in ("n_agents", "n_steps"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -123,7 +126,8 @@ class PipelineConfig:
     def resolved_out_dir(self) -> Path:
         if self.out_dir is not None:
             return Path(self.out_dir)
-        return Path(os.environ.get(OUTPUT_DIR_ENV, "swarmphase-out"))
+        # an empty variable counts as unset, not as the current directory
+        return Path(os.environ.get(OUTPUT_DIR_ENV) or "swarmphase-out")
 
 
 # field name -> config key, for the fields whose key differs from their name
@@ -296,8 +300,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     dataset = run.load()
 
-    # the radius first: a track that has none fails before the matching warns
-    epsilon = _stage("observables", derived_epsilon, dataset.analysis_track(), config.epsilon_mode)
+    # the radius first: a track that has none fails before the matching warns.
+    # Looked up on the module, where a tracer can wrap it
+    epsilon = _stage("observables", observables.interaction_epsilon, dataset.analysis_track(), config.epsilon_mode)
     maps = _stage("mapping", velocities, dataset)
     series = _stage(
         "observables",

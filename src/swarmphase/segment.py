@@ -31,10 +31,6 @@ class Segment:
     mean_value: float
     label: int | None = None
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 @dataclass
 class PhaseSegmentation:

@@ -1,4 +1,6 @@
+import ast
 import gc
+import importlib
 import os
 import re
 import subprocess
@@ -191,6 +193,21 @@ class TestCliCommands:
         assert code == 1
         assert "need at least 2 frames" in capsys.readouterr().err
 
+    def test_run_derives_epsilon_once_through_the_module_attribute(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        derive = observables.interaction_epsilon
+
+        def counting(positions, mode="all_pairs"):
+            calls.append(mode)
+            return derive(positions, mode)
+
+        # a tracer wraps the module attribute, so the pipeline must look it up there
+        monkeypatch.setattr(observables, "interaction_epsilon", counting)
+        assert cli.main([*small_run_args(tmp_path / "out"), "--epsilon-mode", "nearest_neighbor"]) == 0
+        assert calls == ["nearest_neighbor"]
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "epsilon_mode: nearest_neighbor\n" in summary
+
     @pytest.mark.parametrize("mode", observables.EPSILON_MODES)
     def test_coincident_agents_fail_at_epsilon(self, tmp_path, capsys, mode):
         traj = tmp_path / "coincident.csv"
@@ -234,6 +251,35 @@ class TestCliCommands:
             f"swarmphase: error: config: [Errno 2] No such file or directory: {str(missing)!r}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_undecodable_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "swarmphase: error: config: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    SIMULATE = ["simulate", "--scenario", "speed-switch", "--n-agents", "4", "--n-steps", "100"]
+
+    @pytest.mark.parametrize("args", [["--out", ""], ["--config", "run.cfg"]], ids=["flag", "config-line"])
+    def test_empty_out_is_rejected(self, tmp_path, capsys, monkeypatch, args):
+        # both used to write every artifact into the current directory
+        (tmp_path / "run.cfg").write_text("out =\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*self.SIMULATE, *args]) == 1
+        assert capsys.readouterr().err == "swarmphase: error: out: must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_empty_output_variable_writes_to_the_default_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(pipeline.OUTPUT_DIR_ENV, "")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.SIMULATE) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["swarmphase-out"]
+        assert sorted(p.name for p in (tmp_path / "swarmphase-out").iterdir()) == [
+            "trajectory.csv", "trajectory_unwrapped.csv",
+        ]
 
     def test_output_path_that_is_a_file_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "afile").write_text("")
@@ -782,6 +828,20 @@ class TestExitPolicy:
         assert (done.stdout, done.stderr, done.returncode) == (captured.out, captured.err, code)
         assert captured.err.startswith("swarmphase: ")
         assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in-process")
+
+
+def test_every_traced_name_resolves():
+    """Each (module, attribute) the benchmark's tracer wraps still names a callable; a missing one stops the traced run."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py").read_text()
+    table = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
+    )
+    wrapped = ast.literal_eval(table)
+    assert len(wrapped) >= 20
+    for module_name, attr, _ in wrapped:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
 
 
 class TestImports:

@@ -243,15 +243,12 @@ class TestResidualVariance:
         emb = manifold.classical_mds(d, 2)
         assert manifold.residual_variance(d, emb) == manifold.residual_variance(d, emb)
 
-    def test_condensed_geodesics_give_the_square_result(self):
-        rng = np.random.default_rng(12)
-        pts = rng.uniform(size=(25, 3))
-        d = squareform(pdist(pts))
-        emb = manifold.classical_mds(d, 2)
-        condensed = squareform(d, checks=False)
-        assert manifold.residual_variance(condensed, emb) == manifold.residual_variance(d, emb)
-        with pytest.raises(ValueError, match="same points"):
-            manifold.residual_variance(condensed[:-1], emb)
+    def test_geodesics_must_be_the_square_matrix_of_the_points(self):
+        emb = np.arange(3.0)[:, None]
+        # a 4 x 4 matrix, and the condensed form of the right one
+        for geodesics in (np.zeros((4, 4)), pdist(emb)):
+            with pytest.raises(ValueError, match="^geodesic matrix and embedding must cover the same points$"):
+                manifold.residual_variance(geodesics, emb)
 
     def test_zero_variance_warns(self):
         d = np.zeros((3, 3))
@@ -291,12 +288,13 @@ def test_residual_curve_has_the_bits_of_pdist_for_each_dimension(n):
     rng = np.random.default_rng(n + 1)
     pts = np.cumsum(rng.normal(size=(n, 12)), axis=0)
     report = manifold.isomap(pts, k=5, d_max=10)
-    condensed = squareform(manifold.geodesic_distances(manifold.knn_graph(pts, 5)), checks=False)
+    geodesics = manifold.geodesic_distances(manifold.knn_graph(pts, 5))
+    condensed = squareform(geodesics, checks=False)
     full = report.embeddings[-1]
     want = [pdist_residual(condensed, full[:, :d]) for d in range(1, full.shape[1] + 1)]
     assert report.residual_variances.tobytes() == np.array(want).tobytes()
     # the public function measures its own distances, with the same bits
-    got = [manifold.residual_variance(condensed, full[:, :d]) for d in range(1, full.shape[1] + 1)]
+    got = [manifold.residual_variance(geodesics, full[:, :d]) for d in range(1, full.shape[1] + 1)]
     assert got == want
 
 

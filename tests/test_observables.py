@@ -201,6 +201,12 @@ class TestInteractionEpsilon:
         with pytest.raises(ValueError, match="epsilon mode"):
             observables.interaction_epsilon(np.zeros((1, 3, 2)), "median")
 
+    @pytest.mark.parametrize("mode", observables.EPSILON_MODES)
+    def test_zero_radius_is_refused_by_name(self, mode):
+        message = f"epsilon: 0 with epsilon_mode {mode!r}; each agent coincides with another in every frame"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            observables.interaction_epsilon(np.zeros((4, 3, 2)), mode)
+
 
 def bfs_count(pos, radius):
     """Dense oracle: breadth-first search over the inclusive distance-``radius`` graph."""

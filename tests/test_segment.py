@@ -42,7 +42,7 @@ class TestSegmentSeries:
         series = (rng.random(120) > 0.5).astype(float)  # heavily fragmented
         out = segment.segment_series(series, min_length=10)
         if len(out.segments) > 1:
-            assert all(s.length >= 10 for s in out.segments)
+            assert all(s.end - s.start + 1 >= 10 for s in out.segments)
 
     def test_series_too_short(self):
         with pytest.raises(ValueError, match="too short"):

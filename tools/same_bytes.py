@@ -237,6 +237,9 @@ ARGUMENT_SETS = {
     "fail-one-frame": ["run", "--input", "{one}"],
     "fail-short": [*SPEED, "--n-steps", "50"],
     "fail-no-input": ["analyze"],
+    # exits 1 before loading: the config file is not UTF-8; before the key
+    # was named, the decoder's message came without its "config: " prefix
+    "undecodable-config": ["run", "--config", "{undecodable}"],
     # exits 1 before loading: the output path lies below a file; before the
     # check it ran every stage, then failed with a bare [Errno 20]
     "out-below-file": ["analyze", "--input", "{tracked}", "--out", "{one}/sub"],
@@ -281,6 +284,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         if done.returncode != 0:
             sys.exit(f"same_bytes: making inputs failed: {' '.join(args[:2])}\n{done.stderr}")
     (dest / "one.csv").write_text("1,0.0,0.0\n1,1.0,1.0\n")
+    (dest / "undecodable.cfg").write_bytes(b"\xff")
     return {
         "tracked": str(dest / "tracked" / "input.csv"),
         "wrapped": str(dest / "sim" / "trajectory.csv"),
@@ -297,6 +301,7 @@ def make_inputs(src: Path, perfbench: Path, dest: Path) -> dict[str, str]:
         "offset": str(dest / "offset.csv"),
         "agent": str(dest / "agent" / "trajectory.csv"),
         "one": str(dest / "one.csv"),
+        "undecodable": str(dest / "undecodable.cfg"),
     }
 
 
